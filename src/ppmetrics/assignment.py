@@ -1,11 +1,14 @@
-"""Exact solvers for the square assignment problem and the discrete
+"""Exact solvers for the rectangular assignment problem and the discrete
 transportation problem.
 
-Both solvers are deterministic and exact (up to floating-point summation):
-``solve_assignment`` wraps the O(n^3) shortest-augmenting-path solver from
-scipy, ``solve_transportation`` solves the Kantorovich primal with the
-HiGHS dual simplex and then re-fits the optimal basis so the marginal
-constraints hold to machine precision.
+Both solvers are deterministic and exact (up to floating-point summation).
+``min_cost_matching`` is the one matching kernel behind every pattern
+metric: it runs the O(m^2 n) shortest-augmenting-path solver from scipy
+directly on an m x n cost matrix (Crouse 2016) and charges a constant for
+each unmatched column. ``solve_assignment`` is its validated square form.
+``solve_transportation`` solves the Kantorovich primal with the HiGHS dual
+simplex and then re-fits the optimal basis so the marginal constraints hold
+to machine precision.
 """
 
 import math
@@ -18,6 +21,7 @@ from scipy.sparse import coo_matrix
 __all__ = [
     "AssignmentResult",
     "TransportPlan",
+    "min_cost_matching",
     "solve_assignment",
     "solve_transportation",
     "MAX_TRANSPORT_SIDE",
@@ -61,6 +65,20 @@ def _validate_costs(cost, square=False):
     return arr
 
 
+def min_cost_matching(costs, fill):
+    """Cheapest matching of every row of an m x n cost matrix, m <= n.
+
+    Each row gets its own column and each of the ``n - m`` columns left
+    over costs ``fill``. Returns ``(total, rows, cols)`` with ``total =
+    fsum(costs[rows, cols]) + (n - m) * fill``, the optimum of the square
+    problem padded with ``n - m`` rows of ``fill``. ``costs`` must be a
+    finite nonnegative float matrix; it is not validated here.
+    """
+    m, n = costs.shape
+    rows, cols = linear_sum_assignment(costs)
+    return math.fsum(costs[rows, cols].tolist()) + (n - m) * fill, rows, cols
+
+
 def solve_assignment(cost):
     """Minimum-cost perfect matching of a square nonnegative cost matrix.
 
@@ -70,10 +88,9 @@ def solve_assignment(cost):
     affect the total cost.
     """
     arr = _validate_costs(cost, square=True)
-    rows, cols = linear_sum_assignment(arr)
+    total, rows, cols = min_cost_matching(arr, 0.0)
     perm = np.empty(arr.shape[0], dtype=np.intp)
     perm[rows] = cols
-    total = math.fsum(arr[rows, cols].tolist())
     return AssignmentResult(permutation=perm, total_cost=total)
 
 

@@ -22,7 +22,8 @@ from .fileio import dumps_result, format_patterns, read_patterns, \
     read_single_pattern
 from .metrics import CountDistribution, MetricParams, matching_details
 from .processes import RngStream, UNIT_SQUARE, sample_bernoulli_process, \
-    sample_binomial_process, sample_poisson_fkappa, sample_poisson_homogeneous
+    sample_binomial_process, sample_collection, sample_poisson_fkappa, \
+    sample_poisson_homogeneous
 from .statistics import homogeneity_test, power_study
 
 __all__ = ["main", "build_parser"]
@@ -185,15 +186,18 @@ def _cmd_simulate(args):
         "bernoulli": lambda s: sample_bernoulli_process(args.n, args.p, s),
         "binomial": lambda s: sample_binomial_process(args.n, args.p, s),
     }
-    sampler = samplers[args.model]
-    patterns = [sampler(rng.substream(i)) for i in range(args.n_patterns)]
+    patterns = sample_collection(args.n_patterns, samplers[args.model], rng)
     sys.stdout.write(format_patterns(patterns))
     return 0
 
 
 def _read_test_data(args):
     if args.dir:
-        names = sorted(os.listdir(args.data))
+        try:
+            names = sorted(os.listdir(args.data))
+        except OSError as exc:
+            raise PatternFileError(
+                f"cannot list directory {args.data}: {exc}") from exc
         if not names:
             raise PatternFileError(f"directory {args.data} is empty")
         return [

@@ -1,12 +1,15 @@
 """Distances between point patterns and between their distributions.
 
-``d1`` is the classical normalized matching distance that jumps to 1 as
-soon as two patterns differ in cardinality; ``dbar1`` refines it by charging
-each unmatched point the cutoff instead, blending positional error with the
-relative difference in counts. ``dbar1_pc`` generalizes to an order
-parameter ``p`` and a cutoff ``c``; note that it normalizes by ``1/n``
-*outside* the p-th root, exactly as defined here (for ``p > 1`` this differs
-from the OSPA convention that puts ``1/n`` inside the root).
+``d1`` is the classical normalized matching distance that jumps to the
+cutoff (1 in the paper's setting) as soon as two patterns differ in
+cardinality; ``dbar1`` refines it by charging each unmatched point the
+cutoff instead, blending positional error with the relative difference in
+counts. ``dbar1_pc`` generalizes to an order parameter ``p`` and a cutoff
+``c``; note that it normalizes by ``1/n`` *outside* the p-th root, exactly
+as defined here (for ``p > 1`` this differs from the OSPA convention that
+puts ``1/n`` inside the root). Each of them is one rectangular assignment
+of the smaller pattern into the larger, solved by
+:func:`~ppmetrics.assignment.min_cost_matching`.
 
 ``dbar2_empirical`` lifts the pattern distance to uniform empirical
 distributions of patterns, where the Wasserstein distance reduces to one
@@ -19,12 +22,12 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 from scipy.stats import binom, poisson
 
-from .assignment import solve_transportation
-from .geometry import GroundMetricSpec, as_pattern, common_dimension
+from .assignment import min_cost_matching, solve_transportation
+from .geometry import GroundMetricSpec, as_pattern, common_dimension, \
+    pairwise_ground_distances
 
 __all__ = [
     "MetricParams",
@@ -123,68 +126,46 @@ def _theory_warning(cutoff):
         )
 
 
-def _ground_matrix(xi, eta, spec):
-    """Pairwise ground distances; plain Euclidean when spec is None."""
-    if len(xi) == 0 or len(eta) == 0:
-        return np.empty((len(xi), len(eta)))
-    d = cdist(xi, eta)
-    if spec is not None:
-        np.minimum(d, spec.cap, out=d)
-    return d
+def _pair_matching(a, b, p, c, spec, metric="dbar1"):
+    """Value and optimal pairing of two validated patterns.
 
-
-def _pc_value(a, b, p, c, spec):
-    """(p, c) matching distance of two validated patterns."""
-    if len(a) > len(b):
+    The cost of a pair of points is ``min(d0, c) ** p``, with ``d0`` the
+    Euclidean distance (further capped by ``spec`` when given), and each
+    unmatched point costs ``c ** p``. Returns ``(value, a_idx, b_idx)``
+    where ``a[a_idx[k]]`` is matched to ``b[b_idx[k]]``. For ``metric="d1"``
+    with differing counts the value is the cutoff ``c``, the bound of the
+    capped ground distance, and both index arrays are None.
+    """
+    swapped = len(a) > len(b)
+    if swapped:
         a, b = b, a
     m, n = len(a), len(b)
-    if n == 0:
-        return 0.0
-    if m == 0:
-        total = n * c ** p
-    else:
-        d = cdist(a, b)
-        if spec is not None:
-            np.minimum(d, spec.cap, out=d)
-        np.minimum(d, c, out=d)
-        if p != 1.0:
-            np.power(d, p, out=d)
-        total, _, _ = _padded_min_cost(d, c ** p)
-    return total ** (1.0 / p) / n
-
-
-def _padded_min_cost(costs, fill):
-    """Minimum injection cost of the smaller side plus fill per unmatched.
-
-    ``costs`` has shape (m, n) with m <= n; returns (total, rows, cols)
-    where total includes ``(n - m) * fill`` and (rows, cols) is the matched
-    block of the optimal square assignment on the fill-padded matrix.
-    """
-    m, n = costs.shape
-    if m == n:
-        rows, cols = linear_sum_assignment(costs)
-        return math.fsum(costs[rows, cols].tolist()), rows, cols
-    padded = np.full((n, n), fill)
-    padded[:m, :] = costs
-    rows, cols = linear_sum_assignment(padded)
-    matched = rows < m
-    total = math.fsum(costs[rows[matched], cols[matched]].tolist()) + (n - m) * fill
-    return total, rows[matched], cols[matched]
+    if metric == "d1" and m != n:
+        return c, None, None
+    costs = cdist(a, b) if m else np.empty((0, n))
+    if spec is not None:
+        np.minimum(costs, spec.cap, out=costs)
+    np.minimum(costs, c, out=costs)
+    if p != 1.0:
+        np.power(costs, p, out=costs)
+    total, rows, cols = min_cost_matching(costs, c ** p)
+    value = total ** (1.0 / p) / max(n, 1)
+    return (value, cols, rows) if swapped else (value, rows, cols)
 
 
 def d1(xi, eta, spec=GroundMetricSpec()):
-    """Normalized matching distance; exactly 1 when cardinalities differ.
+    """Normalized matching distance; ``spec.cap`` when the counts differ.
 
     For two patterns of common size ``n >= 1`` this is the mean ground
-    distance under an optimal pairing; ``d1(empty, empty) = 0``.
+    distance under an optimal pairing; ``d1(empty, empty) = 0``. Patterns
+    of different sizes are at the largest ground distance, ``spec.cap``,
+    which is 1 in the paper's setting.
     """
     xi = as_pattern(xi)
     eta = as_pattern(eta)
     common_dimension(xi, eta)
     _theory_warning(spec.cap)
-    if len(xi) != len(eta):
-        return 1.0
-    return _pc_value(xi, eta, 1.0, spec.cap, None)
+    return _pair_matching(xi, eta, 1.0, spec.cap, None, "d1")[0]
 
 
 def dbar1(xi, eta, spec=GroundMetricSpec()):
@@ -198,7 +179,7 @@ def dbar1(xi, eta, spec=GroundMetricSpec()):
     eta = as_pattern(eta)
     common_dimension(xi, eta)
     _theory_warning(spec.cap)
-    return _pc_value(xi, eta, 1.0, spec.cap, None)
+    return _pair_matching(xi, eta, 1.0, spec.cap, None)[0]
 
 
 def dbar1_pc(xi, eta, params=MetricParams(), spec=None):
@@ -214,7 +195,7 @@ def dbar1_pc(xi, eta, params=MetricParams(), spec=None):
     eta = as_pattern(eta)
     common_dimension(xi, eta)
     _theory_warning(params.cutoff)
-    return _pc_value(xi, eta, params.order, params.cutoff, spec)
+    return _pair_matching(xi, eta, params.order, params.cutoff, spec)[0]
 
 
 def matching_details(xi, eta, params=MetricParams(), spec=None, metric="dbar1"):
@@ -228,25 +209,13 @@ def matching_details(xi, eta, params=MetricParams(), spec=None, metric="dbar1"):
     xi = as_pattern(xi)
     eta = as_pattern(eta)
     common_dimension(xi, eta)
-    p, c = params.order, params.cutoff
-    m, n = len(xi), len(eta)
-    if metric == "d1" and m != n:
-        return c, []
-    if max(m, n) == 0:
-        return 0.0, []
-    swapped = m > n
-    a, b = (eta, xi) if swapped else (xi, eta)
-    costs = np.minimum(_ground_matrix(a, b, spec), c) ** p
-    total, rows, cols = _padded_min_cost(costs, c ** p)
-    value = total ** (1.0 / p) / max(m, n)
-    matched_b = set()
-    pairs = []
-    for i, j in zip(rows.tolist(), cols.tolist()):
-        matched_b.add(j)
-        pairs.append((j, i) if swapped else (i, j))
-    for j in range(len(b)):
-        if j not in matched_b:
-            pairs.append((None, j) if not swapped else (j, None))
+    value, xi_idx, eta_idx = _pair_matching(
+        xi, eta, params.order, params.cutoff, spec, metric)
+    if xi_idx is None:
+        return value, []
+    pairs = list(zip(xi_idx.tolist(), eta_idx.tolist()))
+    pairs += [(i, None) for i in set(range(len(xi))).difference(xi_idx)]
+    pairs += [(None, j) for j in set(range(len(eta))).difference(eta_idx)]
     return value, sorted(pairs, key=lambda t: (t[0] is None, t[0], t[1]))
 
 
@@ -278,19 +247,6 @@ def dRW(mu, nu):
     return plan.total_cost, plan
 
 
-def _pattern_metric(params, spec, metric):
-    p, c = params.order, params.cutoff
-    if metric == "d1":
-        def dist(a, b):
-            if len(a) != len(b):
-                return c
-            return _pc_value(a, b, p, c, spec)
-    else:
-        def dist(a, b):
-            return _pc_value(a, b, p, c, spec)
-    return dist
-
-
 def _as_collection(patterns):
     pats = [as_pattern(p) for p in patterns]
     if len(pats) == 0:
@@ -306,11 +262,11 @@ def pattern_distance_matrix(ps, qs, params=MetricParams(), spec=None, metric="db
     ps = _as_collection(ps)
     qs = _as_collection(qs)
     common_dimension(*ps, *qs)
-    dist = _pattern_metric(params, spec, metric)
+    p, c = params.order, params.cutoff
     out = np.empty((len(ps), len(qs)))
     for i, a in enumerate(ps):
         for j, b in enumerate(qs):
-            out[i, j] = dist(a, b)
+            out[i, j] = _pair_matching(a, b, p, c, spec, metric)[0]
     return out
 
 
@@ -327,7 +283,7 @@ def dbar2_empirical(ps, qs, params=MetricParams(), spec=None, metric="dbar1"):
             "require the transportation route, see dbar2_transport"
         )
     dmat = pattern_distance_matrix(ps, qs, params, spec, metric)
-    total, _, _ = _padded_min_cost(dmat, 0.0)
+    total, _, _ = min_cost_matching(dmat, 0.0)
     return total / len(ps)
 
 
@@ -362,5 +318,6 @@ def dW_empirical(xs, ys, spec=GroundMetricSpec()):
         raise ValueError(f"sample sizes differ: {len(xs)} vs {len(ys)}")
     if len(xs) == 0:
         raise ValueError("samples must be nonempty")
-    total, _, _ = _padded_min_cost(_ground_matrix(xs, ys, spec), spec.cap)
+    costs = pairwise_ground_distances(xs, ys, spec)
+    total, _, _ = min_cost_matching(costs, 0.0)
     return total / len(xs)

@@ -26,8 +26,8 @@ from .geometry import (
     nn_distances,
 )
 from .metrics import MetricParams, dbar1_pc, dbar2_empirical
-from .processes import UNIT_SQUARE, RngStream, sample_poisson_fkappa, \
-    sample_poisson_homogeneous
+from .processes import UNIT_SQUARE, RngStream, sample_collection, \
+    sample_poisson_fkappa, sample_poisson_homogeneous
 
 __all__ = [
     "KernelSpec",
@@ -158,13 +158,6 @@ class PowerEstimate:
     standard_error: float
 
 
-def _poisson_collection(n_patterns, lam, window, stream):
-    return [
-        sample_poisson_homogeneous(lam, window, stream.substream(i))
-        for i in range(n_patterns)
-    ]
-
-
 def homogeneity_test(data, lam=None, params=MetricParams(), n_null=99,
                      alpha=0.05, rng=RngStream(0), metric="dbar1",
                      share_reference=True, window=UNIT_SQUARE):
@@ -183,7 +176,9 @@ def homogeneity_test(data, lam=None, params=MetricParams(), n_null=99,
     paired design and rejects more often under alternatives, most visibly
     at cutoff 1). Rank ties are broken uniformly at random; the null
     hypothesis is rejected when the observed statistic ranks within the
-    top ``ceil(alpha * (n_null + 1))`` values.
+    top ``floor(alpha * (n_null + 1))`` values, so the size is at most
+    ``alpha`` and exactly ``alpha`` when ``alpha * (n_null + 1)`` is an
+    integer (Hope 1968). Requires ``n_null >= 1`` and ``0 < alpha < 1``.
     """
     data = [as_pattern(p, dim=window.dimension) for p in data]
     if len(data) < 2:
@@ -193,16 +188,23 @@ def homogeneity_test(data, lam=None, params=MetricParams(), n_null=99,
         lam = sum(len(p) for p in data) / n_patterns
     if lam <= 0:
         raise ValueError(f"lambda must be > 0, got {lam}")
+    if n_null < 1:
+        raise ValueError(f"n_null must be >= 1, got {n_null}")
+    if not 0 < alpha < 1:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
 
-    reference = _poisson_collection(n_patterns, lam, window, rng.substream(0))
+    def poisson(stream):
+        return sample_poisson_homogeneous(lam, window, stream)
+
+    reference = sample_collection(n_patterns, poisson, rng.substream(0))
     observed = dbar2_empirical(data, reference, params, None, metric)
     nulls = np.empty(n_null)
     for i in range(n_null):
         null_stream = rng.substream(1 + i)
-        null_data = _poisson_collection(n_patterns, lam, window,
-                                        null_stream.substream(0))
-        ref_i = reference if share_reference else _poisson_collection(
-            n_patterns, lam, window, null_stream.substream(1))
+        null_data = sample_collection(n_patterns, poisson,
+                                      null_stream.substream(0))
+        ref_i = reference if share_reference else sample_collection(
+            n_patterns, poisson, null_stream.substream(1))
         nulls[i] = dbar2_empirical(null_data, ref_i, params, None, metric)
 
     n_higher = int(np.sum(nulls > observed))
@@ -217,7 +219,7 @@ def homogeneity_test(data, lam=None, params=MetricParams(), n_null=99,
         null_statistics=tuple(float(v) for v in nulls),
         rank=rank,
         p_value=p_value,
-        reject=rank <= math.ceil(alpha * k),
+        reject=rank <= math.floor(alpha * k),
     )
 
 
@@ -237,10 +239,9 @@ def _power_replicate(args):
     (rep, kappa, n_patterns, lam, order, cutoff, n_null, alpha, metric,
      share_reference, lam_known, seed, stream_index, path) = args
     stream = RngStream(seed, stream_index, tuple(path)).substream(rep)
-    data = [
-        sample_poisson_fkappa(lam, kappa, stream.substream(0).substream(i))
-        for i in range(n_patterns)
-    ]
+    data = sample_collection(n_patterns,
+                             lambda s: sample_poisson_fkappa(lam, kappa, s),
+                             stream.substream(0))
     result = homogeneity_test(
         data, lam=lam if lam_known else None, params=MetricParams(order, cutoff),
         n_null=n_null, alpha=alpha, rng=stream.substream(1), metric=metric,

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from ppmetrics.assignment import (
     MAX_TRANSPORT_SIDE,
+    min_cost_matching,
     solve_assignment,
     solve_transportation,
 )
@@ -80,6 +83,28 @@ def test_determinism():
 def test_assignment_rejects_bad_input(bad):
     with pytest.raises(ValueError):
         solve_assignment(bad)
+
+
+@pytest.mark.parametrize("n", [4, 7, 12])
+@pytest.mark.parametrize("ties", [False, True])
+def test_min_cost_matching_equals_padded_square(n, ties):
+    gen = np.random.default_rng(300 + n + 50 * ties)
+    fill = 1.0 if ties else 0.625
+    for m in (0, 1, n - 3, n):
+        for _ in range(25):
+            # integer costs in {0, 1, 2} give many tied optima
+            costs = (gen.integers(0, 3, (m, n)).astype(float) if ties
+                     else gen.random((m, n)))
+            total, rows, cols = min_cost_matching(costs, fill)
+            padded = np.full((n, n), fill)
+            padded[:m] = costs
+            assert abs(total - solve_assignment(padded).total_cost) < 1e-12
+            # (rows, cols) is an injection of all m rows into distinct columns
+            assert sorted(rows.tolist()) == list(range(m))
+            assert len(set(cols.tolist())) == m
+            assert all(0 <= j < n for j in cols.tolist())
+            matched = math.fsum(costs[rows, cols].tolist())
+            assert abs(matched - (total - (n - m) * fill)) < 1e-12
 
 
 def test_transport_identity_atom():

@@ -211,6 +211,25 @@ def test_exit_code_data_error(capsys):
     assert code == 3
 
 
+def test_exit_code_data_error_test_dir_not_listable(capsys, tmp_path):
+    single = tmp_path / "single.txt"
+    write_patterns(single, [np.zeros((2, 2))])
+    for path in (tmp_path / "missing", single):
+        code = main(["test", str(path), "--dir", "--null", "9"])
+        assert code == 3
+        assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [["--null", "-5"], ["--null", "0"],
+                                   ["--alpha", "2"]])
+def test_exit_code_domain_error_test_size(capsys, tmp_path, flags):
+    data = tmp_path / "d.txt"
+    write_patterns(data, [np.random.default_rng(0).random((5, 2))
+                          for _ in range(3)])
+    assert main(["test", str(data), "--seed", "0", *flags]) == 4
+    assert "error:" in capsys.readouterr().err
+
+
 def test_exit_code_dimension_mismatch(capsys, tmp_path):
     a = tmp_path / "a.txt"
     b = tmp_path / "b.txt"

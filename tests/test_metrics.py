@@ -330,6 +330,16 @@ def test_dbar2_d1_variant_mostly_cutoff():
     assert (mat == 0.3).all()  # all cardinalities differ
 
 
+def test_d1_is_cutoff_for_unequal_counts_on_every_path():
+    gen = np.random.default_rng(19)
+    xi, eta = gen.random((3, 2)), gen.random((5, 2))
+    params = MetricParams(1.0, 0.5)
+    assert d1(xi, eta, GroundMetricSpec(cap=0.5, dimension=2)) == 0.5
+    mat = pattern_distance_matrix([xi], [eta], params, metric="d1")
+    assert mat[0, 0] == 0.5
+    assert matching_details(xi, eta, params, metric="d1") == (0.5, [])
+
+
 def test_pattern_distance_matrix_rejects_unknown_metric():
     with pytest.raises(ValueError):
         pattern_distance_matrix([np.zeros((1, 2))], [np.zeros((1, 2))],

@@ -180,6 +180,27 @@ def test_homogeneity_test_lambda_estimate_and_errors():
     with pytest.raises(ValueError):
         homogeneity_test([np.empty((0, 2)), np.empty((0, 2))], n_null=9,
                          rng=RngStream(8))
+    for bad in ({"n_null": 0}, {"n_null": -5}, {"alpha": 0.0}, {"alpha": 1.0},
+                {"alpha": 2.0}, {"alpha": math.nan}):
+        with pytest.raises(ValueError):
+            homogeneity_test(data, rng=RngStream(8), **{"n_null": 9, **bad})
+
+
+@pytest.mark.parametrize("n_null", [9, 19, 50])
+def test_homogeneity_test_rejects_at_floor_rank(n_null):
+    # clustered data rank first, null data anywhere; at n_null = 9 even rank
+    # 1 must not reject, since floor(0.05 * 10) = 0
+    threshold = math.floor(0.05 * (n_null + 1))
+    ranks = set()
+    for seed in range(6):
+        data = _poisson_data(4, 10.0, 60 + seed)
+        if seed % 2:
+            data = [0.1 * p for p in data]
+        res = homogeneity_test(data, lam=10.0, n_null=n_null, alpha=0.05,
+                               rng=RngStream(300 + seed))
+        ranks.add(res.rank)
+        assert res.reject == (res.rank <= threshold)
+    assert 1 in ranks
 
 
 def test_homogeneity_test_redraw_reference_mode():
