@@ -30,9 +30,12 @@ EMPTY_DIRECTIVE = "# empty"
 def _parse_line(line, lineno):
     parts = line.replace(",", " ").split()
     try:
-        return [float(tok) for tok in parts]
+        coords = [float(tok) for tok in parts]
     except ValueError:
         raise PatternFileError(f"cannot parse coordinates from {line!r}", lineno)
+    if not all(math.isfinite(v) for v in coords):
+        raise PatternFileError(f"non-finite coordinate in {line!r}", lineno)
+    return coords
 
 
 def parse_patterns(text):
@@ -119,10 +122,11 @@ def write_patterns(path, patterns):
 
 
 def _fmt_float(x):
-    # 17 significant digits: shortest representation that is still lossless
-    s = format(float(x), ".17g")
-    assert float(s) == float(x)
-    return s
+    # 17 significant digits round-trip every finite double
+    x = float(x)
+    if not math.isfinite(x):
+        raise ValueError(f"cannot write the non-finite value {x}")
+    return format(x, ".17g")
 
 
 def _write_json(obj, out, indent):
@@ -156,10 +160,7 @@ def _write_json(obj, out, indent):
     elif isinstance(obj, (np.integer, int)):
         out.append(str(int(obj)))
     elif isinstance(obj, (np.floating, float)):
-        x = float(obj)
-        if not math.isfinite(x):
-            raise ValueError("result documents cannot contain non-finite values")
-        out.append(_fmt_float(x))
+        out.append(_fmt_float(obj))
     else:
         out.append(json.dumps(obj))
 

@@ -133,15 +133,15 @@ def _pair_matching(a, b, p, c, spec, metric="dbar1"):
     Euclidean distance (further capped by ``spec`` when given), and each
     unmatched point costs ``c ** p``. Returns ``(value, a_idx, b_idx)``
     where ``a[a_idx[k]]`` is matched to ``b[b_idx[k]]``. For ``metric="d1"``
-    with differing counts the value is the cutoff ``c``, the bound of the
-    capped ground distance, and both index arrays are None.
+    with differing counts the value is the largest capped ground distance,
+    ``c`` or ``spec.cap`` if smaller, and both index arrays are None.
     """
     swapped = len(a) > len(b)
     if swapped:
         a, b = b, a
     m, n = len(a), len(b)
     if metric == "d1" and m != n:
-        return c, None, None
+        return (c if spec is None else min(c, spec.cap)), None, None
     costs = cdist(a, b) if m else np.empty((0, n))
     if spec is not None:
         np.minimum(costs, spec.cap, out=costs)

@@ -158,9 +158,22 @@ class PowerEstimate:
     standard_error: float
 
 
+def _rejection_threshold(alpha, n_null):
+    """Largest rank that rejects: ``floor(alpha * (n_null + 1))``.
+
+    A product within 1e-9 of an integer is taken as that integer, so a
+    decimal ``alpha`` whose product is whole in decimal (0.29 * 100) does
+    not lose a rank to binary rounding (28.999999999999996).
+    """
+    x = alpha * (n_null + 1)
+    nearest = round(x)
+    return nearest if abs(x - nearest) <= 1e-9 else math.floor(x)
+
+
 def homogeneity_test(data, lam=None, params=MetricParams(), n_null=99,
                      alpha=0.05, rng=RngStream(0), metric="dbar1",
-                     share_reference=True, window=UNIT_SQUARE):
+                     share_reference=True, window=UNIT_SQUARE,
+                     early_stop=False):
     """Monte Carlo test of spatial homogeneity from repeated patterns.
 
     The observed statistic is the empirical pattern-distribution distance
@@ -179,6 +192,17 @@ def homogeneity_test(data, lam=None, params=MetricParams(), n_null=99,
     top ``floor(alpha * (n_null + 1))`` values, so the size is at most
     ``alpha`` and exactly ``alpha`` when ``alpha * (n_null + 1)`` is an
     integer (Hope 1968). Requires ``n_null >= 1`` and ``0 < alpha < 1``.
+
+    With ``early_stop=True`` the nulls are drawn in the same order but the
+    loop ends as soon as the threshold number of them strictly exceed the
+    observed statistic (Besag & Clifford 1991): ties and later nulls can
+    no longer bring the rank back within the threshold, so the test does
+    not reject. When the threshold is 0 no null is drawn. A stopped result
+    holds only the nulls it drew (fewer than ``n_null``), has
+    ``reject=False``, and its ``rank = 1 + (nulls above the statistic)``
+    and ``p_value = rank / (n_null + 1)`` are lower bounds of the full
+    test's; it makes no tie-break draw. A test that does not stop returns
+    the same result as with ``early_stop=False``.
     """
     data = [as_pattern(p, dim=window.dimension) for p in data]
     if len(data) < 2:
@@ -198,28 +222,31 @@ def homogeneity_test(data, lam=None, params=MetricParams(), n_null=99,
 
     reference = sample_collection(n_patterns, poisson, rng.substream(0))
     observed = dbar2_empirical(data, reference, params, None, metric)
-    nulls = np.empty(n_null)
+    threshold = _rejection_threshold(alpha, n_null)
+    nulls = []
+    n_higher = 0
     for i in range(n_null):
+        if early_stop and n_higher >= threshold:
+            break
         null_stream = rng.substream(1 + i)
         null_data = sample_collection(n_patterns, poisson,
                                       null_stream.substream(0))
         ref_i = reference if share_reference else sample_collection(
             n_patterns, poisson, null_stream.substream(1))
-        nulls[i] = dbar2_empirical(null_data, ref_i, params, None, metric)
+        value = dbar2_empirical(null_data, ref_i, params, None, metric)
+        nulls.append(value)
+        n_higher += value > observed
 
-    n_higher = int(np.sum(nulls > observed))
-    n_tied = int(np.sum(nulls == observed))
     rank = 1 + n_higher
-    if n_tied:
+    n_tied = sum(v == observed for v in nulls)
+    if n_tied and len(nulls) == n_null:
         rank += int(rng.substream(n_null + 1).generator().integers(0, n_tied + 1))
-    k = n_null + 1
-    p_value = rank / k
     return TestResult(
         statistic=float(observed),
         null_statistics=tuple(float(v) for v in nulls),
         rank=rank,
-        p_value=p_value,
-        reject=rank <= math.floor(alpha * k),
+        p_value=rank / (n_null + 1),
+        reject=rank <= threshold,
     )
 
 
@@ -245,7 +272,7 @@ def _power_replicate(args):
     result = homogeneity_test(
         data, lam=lam if lam_known else None, params=MetricParams(order, cutoff),
         n_null=n_null, alpha=alpha, rng=stream.substream(1), metric=metric,
-        share_reference=share_reference,
+        share_reference=share_reference, early_stop=True,
     )
     return result.reject
 
@@ -266,9 +293,12 @@ def power_study(kappa, n_patterns=12, lam=30.0, cutoff=1.0, reps=100,
     reference pool per statistic (``share_reference=False``); this default
     pair is the design whose power table the study is calibrated against.
     The paired shared-reference design and the known-intensity variant are
-    both noticeably more powerful at cutoff 1. Replicates use disjoint
-    substreams and are evaluated in parallel processes (limited by
-    PPMETRICS_THREADS) unless ``parallel=False``.
+    both noticeably more powerful at cutoff 1. Only the decisions are
+    used, so each test stops drawing nulls once its non-rejection is
+    settled (``early_stop``); every decision, and so the power, is that of
+    the full test. Replicates use disjoint substreams and are evaluated in
+    parallel processes (limited by PPMETRICS_THREADS) unless
+    ``parallel=False``.
     """
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")

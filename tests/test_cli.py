@@ -265,3 +265,12 @@ def test_console_entry_point_runs():
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["values"]["stein_factor_delta2"] == 0.01
+
+
+@pytest.mark.parametrize("token", ["nan", "1e400"])
+def test_exit_code_data_error_non_finite_coordinate(capsys, tmp_path, token):
+    data = tmp_path / "d.txt"
+    data.write_text(f"0.1 0.2\n{token} 0.5\n0.3 0.4\n\n0.6 0.7\n")
+    assert main(["test", str(data), "--null", "9", "--seed", "0"]) == 3
+    err = capsys.readouterr().err
+    assert "line 2" in err and "non-finite" in err

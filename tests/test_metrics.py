@@ -340,6 +340,18 @@ def test_d1_is_cutoff_for_unequal_counts_on_every_path():
     assert matching_details(xi, eta, params, metric="d1") == (0.5, [])
 
 
+def test_d1_unequal_counts_bounded_by_spec_cap():
+    # a spec cap below the cutoff bounds every ground distance, so it also
+    # bounds the value at unequal counts
+    gen = np.random.default_rng(20)
+    a = 0.1 * gen.random((3, 2))
+    b, far = gen.random((5, 2)), a + 10.0
+    params, spec = MetricParams(1.0, 1.0), GroundMetricSpec(cap=0.5)
+    mat = pattern_distance_matrix([a], [b, far], params, spec, metric="d1")
+    assert mat.tolist() == [[0.5, 0.5]]
+    assert matching_details(a, b, params, spec, metric="d1") == (0.5, [])
+
+
 def test_pattern_distance_matrix_rejects_unknown_metric():
     with pytest.raises(ValueError):
         pattern_distance_matrix([np.zeros((1, 2))], [np.zeros((1, 2))],

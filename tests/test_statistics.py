@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 from ppmetrics.geometry import GroundMetricSpec
-from ppmetrics.processes import RngStream, UNIT_SQUARE, sample_poisson_homogeneous
+from ppmetrics.metrics import MetricParams
+from ppmetrics.processes import RngStream, UNIT_SQUARE, sample_collection, \
+    sample_poisson_fkappa, sample_poisson_homogeneous
 from ppmetrics.statistics import (
     KernelSpec,
+    _rejection_threshold,
     avg_nn_statistic,
     homogeneity_test,
     lipschitz_ratio,
@@ -264,3 +267,100 @@ def test_power_study_share_reference_passthrough():
     # but both are valid rejection fractions
     assert 0.0 <= redraw.power <= 1.0
     assert 0.0 <= shared.power <= 1.0
+
+
+@pytest.mark.parametrize("alpha, n_null, threshold", [
+    (0.29, 99, 29), (0.57, 99, 57), (0.58, 49, 29),
+    (0.05, 9, 0), (0.05, 19, 1), (0.05, 99, 5), (0.05, 50, 2),
+])
+def test_rejection_threshold_exact_for_decimal_alpha(alpha, n_null, threshold):
+    assert _rejection_threshold(alpha, n_null) == threshold
+
+
+def _tilted_data(n_patterns, lam, kappa, stream):
+    return sample_collection(
+        n_patterns, lambda s: sample_poisson_fkappa(lam, kappa, s), stream)
+
+
+@pytest.mark.parametrize("share_reference", [True, False])
+def test_early_stop_keeps_decision_and_draws_a_prefix(share_reference):
+    stopped = 0
+    for seed in range(4):
+        for kappa in (1.0, 4.0):
+            stream = RngStream(700 + seed)
+            data = _tilted_data(6, 12.0, kappa, stream.substream(0))
+            kwargs = dict(lam=12.0, params=MetricParams(1.0, 0.3), n_null=19,
+                          rng=stream.substream(1),
+                          share_reference=share_reference)
+            full = homogeneity_test(data, **kwargs)
+            early = homogeneity_test(data, early_stop=True, **kwargs)
+            n_drawn = len(early.null_statistics)
+            assert early.reject == full.reject
+            assert early.null_statistics == full.null_statistics[:n_drawn]
+            if n_drawn == 19:
+                assert early == full
+            else:
+                # stopped at the first null above the statistic
+                assert not early.reject and early.rank == 2 <= full.rank
+                assert early.p_value == 2 / 20
+                stopped += kappa == 1.0
+    assert stopped > 0
+
+
+def test_early_stop_uses_the_rejection_threshold():
+    # alpha * (n_null + 1) = 28.999999999999996 in binary: a stopped test
+    # has seen exactly 29 nulls above the statistic
+    stopped = 0
+    for seed in range(4):
+        data = _poisson_data(3, 5.0, 32 + seed)
+        res = homogeneity_test(data, lam=5.0, n_null=99, alpha=0.29,
+                               rng=RngStream(31 + seed), early_stop=True)
+        if len(res.null_statistics) < 99:
+            stopped += 1
+            assert res.rank == 30 and not res.reject
+            assert sum(v > res.statistic for v in res.null_statistics) == 29
+        else:
+            assert res.reject == (res.rank <= 29)
+    assert stopped > 0
+
+
+def test_early_stop_makes_no_tie_break_draw():
+    # empty data against a sparse reference ties with many nulls; a stopped
+    # test ranks just below its one higher null whatever the ties
+    data = [np.empty((0, 2))] * 3
+    tied_stops = 0
+    for seed in range(6):
+        kwargs = dict(lam=0.3, n_null=19, rng=RngStream(seed))
+        early = homogeneity_test(data, early_stop=True, **kwargs)
+        assert early.reject == homogeneity_test(data, **kwargs).reject
+        if len(early.null_statistics) < 19:
+            assert early.rank == 2
+            tied_stops += early.statistic in early.null_statistics
+    assert tied_stops > 0
+
+
+def test_early_stop_draws_no_null_at_threshold_zero():
+    data = _poisson_data(4, 10.0, 40)
+    res = homogeneity_test(data, lam=10.0, n_null=9, alpha=0.05,
+                           rng=RngStream(41), early_stop=True)
+    assert res.null_statistics == ()
+    assert (res.rank, res.p_value, res.reject) == (1, 0.1, False)
+    assert not homogeneity_test(data, lam=10.0, n_null=9, alpha=0.05,
+                                rng=RngStream(41)).reject
+
+
+def test_power_study_decisions_match_full_tests():
+    kappa, n_patterns, lam, cutoff, reps, n_null = 2.0, 5, 10.0, 0.3, 8, 19
+    rng = RngStream(42)
+    decisions = []
+    for rep in range(reps):
+        stream = rng.substream(rep)
+        data = _tilted_data(n_patterns, lam, kappa, stream.substream(0))
+        decisions.append(homogeneity_test(
+            data, params=MetricParams(1.0, cutoff), n_null=n_null,
+            rng=stream.substream(1), share_reference=False).reject)
+    assert 0 < sum(decisions) < reps
+    for parallel in (False, True):
+        est = power_study(kappa, n_patterns=n_patterns, lam=lam, cutoff=cutoff,
+                          reps=reps, rng=rng, n_null=n_null, parallel=parallel)
+        assert est.power == sum(decisions) / reps
