@@ -6,6 +6,8 @@ the Euclidean distance capped at a cutoff value, which keeps every
 point-level distance in ``[0, cap]``.
 """
 
+import itertools
+import math
 import random
 from dataclasses import dataclass
 
@@ -21,6 +23,7 @@ __all__ = [
     "ground_distance",
     "pairwise_ground_distances",
     "min_enclosing_ball",
+    "subset_enclosing_diameters",
     "capped_ball_diameter",
     "nn_distances",
 ]
@@ -122,72 +125,59 @@ def pairwise_ground_distances(xi, eta, spec=GroundMetricSpec()):
 
 
 def _circle_two(a, b):
+    # circle on segment ab as diameter; a, b are (..., 2) arrays
     center = 0.5 * (a + b)
-    radius = float(np.linalg.norm(a - b)) / 2.0
-    return Ball(center, radius)
+    return center, np.linalg.norm(a - b, axis=-1) / 2.0
 
 
 def _circle_three(a, b, c):
-    # circumcircle; None for (near-)collinear triples
-    ax, ay = a
-    bx, by = b
-    cx, cy = c
+    # circumcircle of abc, (..., 2) arrays; nan where the triple is collinear
+    # or so nearly collinear that the circle overflows
+    ax, ay = a[..., 0], a[..., 1]
+    bx, by = b[..., 0], b[..., 1]
+    cx, cy = c[..., 0], c[..., 1]
     d = 2.0 * (ax * (by - cy) + bx * (cy - ay) + cx * (ay - by))
-    if d == 0.0:
-        return None
-    ux = ((ax * ax + ay * ay) * (by - cy) + (bx * bx + by * by) * (cy - ay)
-          + (cx * cx + cy * cy) * (ay - by)) / d
-    uy = ((ax * ax + ay * ay) * (cx - bx) + (bx * bx + by * by) * (ax - cx)
-          + (cx * cx + cy * cy) * (bx - ax)) / d
-    center = np.array([ux, uy])
-    radius = float(np.linalg.norm(center - a))
-    return Ball(center, radius)
+    d = np.where(d == 0.0, np.nan, d)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ux = ((ax * ax + ay * ay) * (by - cy) + (bx * bx + by * by) * (cy - ay)
+              + (cx * cx + cy * cy) * (ay - by)) / d
+        uy = ((ax * ax + ay * ay) * (cx - bx) + (bx * bx + by * by) * (ax - cx)
+              + (cx * cx + cy * cy) * (bx - ax)) / d
+        center = np.stack([ux, uy], axis=-1)
+        radius = np.linalg.norm(center - a, axis=-1)
+    bad = ~np.isfinite(radius)
+    return np.where(bad[..., None], np.nan, center), np.where(bad, np.nan, radius)
 
 
-def _ball_of_boundary(boundary):
-    if not boundary:
-        return Ball(np.zeros(2), 0.0)
-    if len(boundary) == 1:
-        return Ball(np.array(boundary[0], dtype=float), 0.0)
-    if len(boundary) == 2:
-        return _circle_two(np.asarray(boundary[0]), np.asarray(boundary[1]))
-    ball = _circle_three(*(np.asarray(p) for p in boundary))
-    if ball is None:
-        # collinear support: widest pair already encloses the third
-        best = None
-        pts = [np.asarray(p) for p in boundary]
-        for i in range(3):
-            for j in range(i + 1, 3):
-                cand = _circle_two(pts[i], pts[j])
-                if _contains(cand, pts[3 - i - j]):
-                    if best is None or cand.radius < best.radius:
-                        best = cand
-        return best
-    return ball
+def _inside(dist, radius, tol=1e-12):
+    # containment with a relative and an absolute slack for rounding
+    return dist <= radius * (1 + tol) + tol
 
 
-def _contains(ball, point, tol=1e-12):
-    return float(np.linalg.norm(point - ball.center)) <= ball.radius * (1 + tol) + tol
+def _first_outside(pts, start, stop, center, radius):
+    """Index of the first of ``pts[start:stop]`` outside the circle, or None."""
+    dist = np.linalg.norm(pts[start:stop] - center, axis=1)
+    out = np.flatnonzero(~_inside(dist, radius))
+    return start + int(out[0]) if len(out) else None
 
 
-def _welzl(points, boundary, rnd):
-    if not points or len(boundary) == 3:
-        return _ball_of_boundary(boundary)
-    p = points.pop(rnd.randrange(len(points)))
-    ball = _welzl(points, boundary, rnd)
-    if ball is not None and _contains(ball, p):
-        points.append(p)
-        return ball
-    ball = _welzl(points, boundary + [p], rnd)
-    points.append(p)
-    return ball
+def _circle_through(a, b, c):
+    center, radius = _circle_three(a, b, c)
+    if np.isnan(radius):
+        # collinear support: the widest pair encloses the third point
+        center, radius = max((_circle_two(p, q) for p, q in ((a, b), (a, c), (b, c))),
+                             key=lambda circle: circle[1])
+    return center, float(radius)
 
 
 def min_enclosing_ball(points):
     """Smallest enclosing ball of a planar point set (Welzl's algorithm).
 
-    Only ``D == 2`` is supported. The internal shuffle uses a fixed seed so
-    repeated calls on the same input return the identical ball.
+    Only ``D == 2`` is supported. The points are visited in a shuffled order
+    with a fixed seed, so repeated calls on the same input return the
+    identical ball. The algorithm runs as three nested loops (point ``i``,
+    then ``j`` and ``k`` on the boundary) with no recursion, so its depth
+    does not grow with the number of points.
     """
     pts = as_pattern(points)
     if len(pts) == 0:
@@ -198,13 +188,81 @@ def min_enclosing_ball(points):
         )
     if len(pts) == 1:
         return Ball(pts[0].copy(), 0.0)
-    rnd = random.Random(0x5EB)
-    order = list(pts)
-    rnd.shuffle(order)
-    ball = _welzl(order, [], rnd)
+    order = list(range(len(pts)))
+    random.Random(0x5EB).shuffle(order)
+    shuffled = pts[order]
+    center, radius = shuffled[0], 0.0
+    i = _first_outside(shuffled, 1, len(shuffled), center, radius)
+    while i is not None:
+        # ball of shuffled[:i + 1] with point i on its boundary
+        center, radius = shuffled[i], 0.0
+        j = _first_outside(shuffled, 0, i, center, radius)
+        while j is not None:
+            # ... and with point j on its boundary too
+            center, radius = _circle_two(shuffled[i], shuffled[j])
+            k = _first_outside(shuffled, 0, j, center, radius)
+            while k is not None:
+                center, radius = _circle_through(shuffled[i], shuffled[j], shuffled[k])
+                k = _first_outside(shuffled, k + 1, j, center, radius)
+            j = _first_outside(shuffled, j + 1, i, center, radius)
+        i = _first_outside(shuffled, i + 1, len(shuffled), center, radius)
     # guard against accumulated tolerance slack: grow to cover every input
-    reach = float(np.max(np.linalg.norm(pts - ball.center, axis=1)))
-    return Ball(ball.center, max(ball.radius, reach))
+    reach = float(np.max(np.linalg.norm(pts - center, axis=1)))
+    return Ball(np.array(center, dtype=float), max(float(radius), reach))
+
+
+# distance cells (subset x candidate circle x point) evaluated per chunk
+_SUBSET_CHUNK_CELLS = 1 << 18
+
+
+def subset_enclosing_diameters(points, size):
+    """Enclosing-circle diameter of every ``size``-subset of a planar pattern.
+
+    Entry ``t`` belongs to the ``t``-th subset of
+    ``itertools.combinations(range(len(points)), size)``; ``size >= 2``.
+    The smallest enclosing circle of a finite set is one of its candidate
+    circles (each pair as a diameter, the circumcircle of each
+    non-collinear triple), so every subset takes the smallest candidate
+    that contains all its points, grown to reach its farthest point as
+    :func:`min_enclosing_ball` does; the values equal Welzl's up to
+    rounding. A subset that no candidate contains falls back to
+    :func:`min_enclosing_ball`. Subsets are evaluated in chunks of a fixed
+    number of distance cells, so working memory does not grow with the
+    number of subsets.
+    """
+    pts = as_pattern(points)
+    if pts.shape[1] != 2:
+        raise ValueError(
+            f"subset_enclosing_diameters supports dimension 2 only, got {pts.shape[1]}"
+        )
+    if size < 2:
+        raise ValueError(f"subset size must be >= 2, got {size}")
+    total = math.comb(len(pts), size)
+    pairs = np.array(list(itertools.combinations(range(size), 2)), dtype=np.intp).T
+    triples = np.array(list(itertools.combinations(range(size), 3)),
+                       dtype=np.intp).reshape(-1, 3).T
+    n_candidates = pairs.shape[1] + triples.shape[1]
+    chunk = max(1, _SUBSET_CHUNK_CELLS // (n_candidates * size))
+    subsets = itertools.combinations(range(len(pts)), size)
+    out = np.empty(total)
+    for start in range(0, total, chunk):
+        count = min(chunk, total - start)
+        idx = np.fromiter(itertools.chain.from_iterable(itertools.islice(subsets, count)),
+                          dtype=np.intp, count=count * size).reshape(count, size)
+        sub = pts[idx]
+        c2, r2 = _circle_two(sub[:, pairs[0]], sub[:, pairs[1]])
+        c3, r3 = _circle_three(*(sub[:, t] for t in triples))
+        centers = np.concatenate([c2, c3], axis=1)
+        radii = np.concatenate([r2, r3], axis=1)
+        dist = np.linalg.norm(sub[:, None, :, :] - centers[:, :, None, :], axis=-1)
+        contains = _inside(dist, radii[..., None]).all(axis=2)
+        best = np.where(contains, radii, np.inf).argmin(axis=1)
+        rows = np.arange(count)
+        radius = np.maximum(radii[rows, best], dist[rows, best].max(axis=1))
+        for s in np.flatnonzero(~contains[rows, best]):
+            radius[s] = min_enclosing_ball(sub[s]).radius
+        out[start:start + count] = 2.0 * radius
+    return out
 
 
 def capped_ball_diameter(ball, cap=1.0):

@@ -9,7 +9,6 @@ comparison is repeated for simulated null collections, and the observed
 statistic is ranked within the pooled exchangeable values.
 """
 
-import itertools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -21,9 +20,8 @@ from scipy.spatial.distance import pdist
 from .geometry import (
     GroundMetricSpec,
     as_pattern,
-    capped_ball_diameter,
-    min_enclosing_ball,
     nn_distances,
+    subset_enclosing_diameters,
 )
 from .metrics import MetricParams, dbar1_pc, dbar2_empirical
 from .processes import UNIT_SQUARE, RngStream, sample_collection, \
@@ -39,9 +37,13 @@ __all__ = [
     "homogeneity_test",
     "power_study",
     "worker_count",
+    "MAX_USTAT_SUBSETS",
 ]
 
 KERNEL_KINDS = ("half_interpoint", "minball_diameter")
+
+# C(n, l) cap on the subsets a U-statistic of arity l >= 3 enumerates
+MAX_USTAT_SUBSETS = 10**6
 
 
 @dataclass(frozen=True)
@@ -74,7 +76,14 @@ def ustat(pattern, kernel, anchor):
 
     Patterns with fewer than ``l`` points are first padded with copies of
     the ``anchor`` point, which extends the statistic to all of pattern
-    space without increasing its sensitivity.
+    space without increasing its sensitivity. At arity 2 both kernels are
+    half the capped interpoint distance, taken from ``pdist``. At arity
+    ``l >= 3`` the enclosing-circle diameters of all ``C(n, l)`` subsets
+    come from one vectorised pass of
+    :func:`~ppmetrics.geometry.subset_enclosing_diameters`, equal to
+    Welzl's :func:`~ppmetrics.geometry.min_enclosing_ball` per subset up to
+    rounding; a pattern with more than ``MAX_USTAT_SUBSETS`` subsets raises
+    ``ValueError`` before any is enumerated.
     """
     pts = as_pattern(pattern)
     x0 = np.asarray(anchor, dtype=float).reshape(1, -1)
@@ -94,11 +103,14 @@ def ustat(pattern, kernel, anchor):
         # so both kernels coincide at arity 2
         d = pdist(pts)
         return float(np.mean(np.minimum(d, kernel.cap)) / 2.0)
-    vals = []
-    for idx in itertools.combinations(range(len(pts)), l):
-        ball = min_enclosing_ball(pts[list(idx)])
-        vals.append(capped_ball_diameter(ball, kernel.cap) / l)
-    return math.fsum(vals) / len(vals)
+    count = math.comb(len(pts), l)
+    if count > MAX_USTAT_SUBSETS:
+        raise ValueError(
+            f"ustat of arity {l} on {len(pts)} points has {count} subsets, "
+            f"above the limit MAX_USTAT_SUBSETS = {MAX_USTAT_SUBSETS}"
+        )
+    vals = np.minimum(subset_enclosing_diameters(pts, l), kernel.cap) / l
+    return math.fsum(vals.tolist()) / count
 
 
 def avg_nn_statistic(pattern, alpha0=1.0, alpha1=1.0, spec=GroundMetricSpec()):

@@ -1,10 +1,13 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from ppmetrics import geometry
 from ppmetrics.errors import DimensionMismatchError
 from ppmetrics.geometry import (
+    Ball,
     GroundMetricSpec,
     as_pattern,
     capped_ball_diameter,
@@ -12,6 +15,7 @@ from ppmetrics.geometry import (
     min_enclosing_ball,
     nn_distances,
     pairwise_ground_distances,
+    subset_enclosing_diameters,
 )
 
 from oracles import enclosing_circle_oracle
@@ -153,3 +157,88 @@ def test_as_pattern_empty_and_flat():
     assert as_pattern([0.1, 0.5]).shape == (2, 1)
     with pytest.raises(ValueError):
         as_pattern([[np.inf, 0.0]])
+
+
+def test_ball_of_5000_points_needs_no_recursion():
+    # a recursion per point would pass Python's recursion limit here
+    pts = np.random.default_rng(79).random((5000, 2))
+    ball = min_enclosing_ball(pts)
+    assert (np.linalg.norm(pts - ball.center, axis=1) <= ball.radius + 1e-9).all()
+    assert ball.radius < math.sqrt(2) / 2 + 1e-9
+
+
+def _subset_cases():
+    gen = np.random.default_rng(80)
+    anchor = np.array([[0.5, 0.5]])
+    for size in (3, 4, 5):
+        for n in range(3, 10):
+            pts = gen.random((n, 2))
+            yield "random", pts, size
+            dup = pts.copy()
+            dup[1] = dup[0]
+            dup[-1] = dup[0]
+            yield "duplicated", dup, size
+            line = pts.copy()
+            line[2] = 0.25 * line[0] + 0.75 * line[1]
+            yield "collinear", line, size
+            yield "all-equal", np.repeat(pts[:1], n, axis=0), size
+            grid = np.array([[0.0, 0.0], [0.5, 0.0], [1.0, 0.0], [0.0, 0.5],
+                             [0.5, 0.5], [0.25, 0.25], [1.0, 1.0], [0.0, 1.0],
+                             [0.75, 0.75]])[:n]
+            yield "grid", grid, size
+        for m in range(size):
+            # a short pattern padded with anchor copies, as ustat pads it
+            short = gen.random((m, 2))
+            yield "padded", np.vstack([short, np.repeat(anchor, size - m, axis=0)]), size
+
+
+def test_subset_diameters_match_welzl_and_oracle():
+    for name, pts, size in _subset_cases():
+        got = subset_enclosing_diameters(pts, size)
+        subsets = list(itertools.combinations(range(len(pts)), size))
+        assert got.shape == (len(subsets),)
+        for value, idx in zip(got, subsets):
+            sub = pts[list(idx)]
+            welzl = 2.0 * min_enclosing_ball(sub).radius
+            oracle = 2.0 * enclosing_circle_oracle(sub)[1]
+            assert math.isclose(value, welzl, rel_tol=1e-12, abs_tol=1e-15), (name, idx)
+            assert math.isclose(value, oracle, rel_tol=1e-12, abs_tol=1e-15), (name, idx)
+
+
+def test_subset_diameters_chunks_and_edges(monkeypatch):
+    pts = np.random.default_rng(81).random((11, 2))
+    whole = subset_enclosing_diameters(pts, 4)
+    # several chunks give the same values as one
+    monkeypatch.setattr(geometry, "_SUBSET_CHUNK_CELLS", 100)
+    assert np.array_equal(subset_enclosing_diameters(pts, 4), whole)
+    assert np.allclose(subset_enclosing_diameters(pts, 2),
+                       [np.linalg.norm(pts[i] - pts[j])
+                        for i, j in itertools.combinations(range(11), 2)],
+                       rtol=1e-12, atol=0.0)
+    assert subset_enclosing_diameters(pts[:2], 3).shape == (0,)
+    with pytest.raises(ValueError):
+        subset_enclosing_diameters(pts, 1)
+    with pytest.raises(ValueError):
+        subset_enclosing_diameters(np.zeros((4, 3)), 3)
+
+
+def test_subset_without_containing_candidate_falls_back(monkeypatch):
+    # with every circumcircle withheld, no candidate contains an acute
+    # triangle, which must then come from min_enclosing_ball, not inf
+    calls = []
+
+    def no_circumcircle(a, b, c):
+        return np.full(a.shape, np.nan), np.full(a.shape[:-1], np.nan)
+
+    def reference_ball(points):
+        calls.append(np.array(points))
+        return Ball(np.zeros(2), 7.0)
+
+    monkeypatch.setattr(geometry, "_circle_three", no_circumcircle)
+    monkeypatch.setattr(geometry, "min_enclosing_ball", reference_ball)
+    acute = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 0.8]])
+    obtuse = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 0.1]])
+    assert subset_enclosing_diameters(acute, 3).tolist() == [14.0]
+    assert len(calls) == 1 and np.array_equal(calls[0], acute)
+    assert math.isclose(subset_enclosing_diameters(obtuse, 3)[0], 1.0, rel_tol=1e-15)
+    assert len(calls) == 1

@@ -1,13 +1,15 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from ppmetrics.geometry import GroundMetricSpec
+from ppmetrics.geometry import GroundMetricSpec, min_enclosing_ball
 from ppmetrics.metrics import MetricParams
 from ppmetrics.processes import RngStream, UNIT_SQUARE, sample_collection, \
     sample_poisson_fkappa, sample_poisson_homogeneous
 from ppmetrics.statistics import (
+    MAX_USTAT_SUBSETS,
     KernelSpec,
     _rejection_threshold,
     avg_nn_statistic,
@@ -364,3 +366,26 @@ def test_power_study_decisions_match_full_tests():
         est = power_study(kappa, n_patterns=n_patterns, lam=lam, cutoff=cutoff,
                           reps=reps, rng=rng, n_null=n_null, parallel=parallel)
         assert est.power == sum(decisions) / reps
+
+
+def test_ustat_minball_arity3_equals_per_subset_welzl():
+    pts = np.random.default_rng(90).random((12, 2))
+    for cap in (1.0, 0.3):
+        spec = KernelSpec("minball_diameter", 3, cap)
+        loop = [min(2.0 * min_enclosing_ball(pts[list(idx)]).radius, cap) / 3
+                for idx in itertools.combinations(range(12), 3)]
+        want = math.fsum(loop) / len(loop)
+        assert math.isclose(ustat(pts, spec, CENTER), want, rel_tol=1e-12)
+
+
+def test_ustat_subset_limit():
+    gen = np.random.default_rng(91)
+    spec = KernelSpec("minball_diameter", 3, 1.0)
+    # C(200, 3) = 1,313,400 subsets
+    assert math.comb(200, 3) > MAX_USTAT_SUBSETS
+    with pytest.raises(ValueError, match="1313400 subsets.*MAX_USTAT_SUBSETS"):
+        ustat(gen.random((200, 2)), spec, CENTER)
+    assert 0.0 < ustat(gen.random((12, 2)), spec, CENTER) <= 1.0 / 3.0
+    # arity 2 goes through pdist and has no limit: C(1500, 2) > 10**6
+    assert math.comb(1500, 2) > MAX_USTAT_SUBSETS
+    assert 0.0 < ustat(gen.random((1500, 2)), HALF, CENTER) <= 0.5
