@@ -170,6 +170,26 @@ def _circle_through(a, b, c):
     return center, float(radius)
 
 
+# coordinate magnitudes outside [2**-_SCALE_LIMIT, 2**_SCALE_LIMIT] are rescaled
+_SCALE_LIMIT = 300
+
+
+def _rescale_exponent(pts):
+    """Exponent ``e`` that brings ``pts * 2**-e`` to magnitudes about 1.
+
+    The circle formulas square coordinates, and the circumcentre multiplies
+    three of them, so coordinates beyond about 2**340 overflow and below
+    about 2**-340 underflow. Scaling by a power of two is exact, so the
+    scaled result, scaled back, is what exact-range arithmetic would give.
+    Returns 0, and so leaves the input alone, when the largest magnitude
+    lies within ``2**±_SCALE_LIMIT`` or every coordinate is 0.
+    """
+    top = float(np.max(np.abs(pts))) if pts.size else 0.0
+    if top == 0.0 or 2.0 ** -_SCALE_LIMIT <= top <= 2.0 ** _SCALE_LIMIT:
+        return 0
+    return math.frexp(top)[1]
+
+
 def min_enclosing_ball(points):
     """Smallest enclosing ball of a planar point set (Welzl's algorithm).
 
@@ -177,7 +197,9 @@ def min_enclosing_ball(points):
     with a fixed seed, so repeated calls on the same input return the
     identical ball. The algorithm runs as three nested loops (point ``i``,
     then ``j`` and ``k`` on the boundary) with no recursion, so its depth
-    does not grow with the number of points.
+    does not grow with the number of points. Coordinates of magnitude
+    beyond ``2**±300`` are first scaled by an exact power of two, so that
+    no square overflows or underflows.
     """
     pts = as_pattern(points)
     if len(pts) == 0:
@@ -188,6 +210,10 @@ def min_enclosing_ball(points):
         )
     if len(pts) == 1:
         return Ball(pts[0].copy(), 0.0)
+    scale = _rescale_exponent(pts)
+    if scale:
+        ball = min_enclosing_ball(np.ldexp(pts, -scale))
+        return Ball(np.ldexp(ball.center, scale), math.ldexp(ball.radius, scale))
     order = list(range(len(pts)))
     random.Random(0x5EB).shuffle(order)
     shuffled = pts[order]
@@ -228,7 +254,8 @@ def subset_enclosing_diameters(points, size):
     rounding. A subset that no candidate contains falls back to
     :func:`min_enclosing_ball`. Subsets are evaluated in chunks of a fixed
     number of distance cells, so working memory does not grow with the
-    number of subsets.
+    number of subsets. Extreme coordinates are scaled by a power of two as
+    in :func:`min_enclosing_ball`.
     """
     pts = as_pattern(points)
     if pts.shape[1] != 2:
@@ -237,6 +264,9 @@ def subset_enclosing_diameters(points, size):
         )
     if size < 2:
         raise ValueError(f"subset size must be >= 2, got {size}")
+    scale = _rescale_exponent(pts)
+    if scale:
+        return np.ldexp(subset_enclosing_diameters(np.ldexp(pts, -scale), size), scale)
     total = math.comb(len(pts), size)
     pairs = np.array(list(itertools.combinations(range(size), 2)), dtype=np.intp).T
     triples = np.array(list(itertools.combinations(range(size), 3)),

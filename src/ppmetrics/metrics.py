@@ -255,19 +255,32 @@ def _as_collection(patterns):
     return pats
 
 
-def pattern_distance_matrix(ps, qs, params=MetricParams(), spec=None, metric="dbar1"):
-    """Matrix of pairwise pattern distances between two collections."""
+def _as_collections(ps, qs, metric):
     if metric not in ("dbar1", "d1"):
         raise ValueError(f"unknown pattern metric {metric!r}")
     ps = _as_collection(ps)
     qs = _as_collection(qs)
     common_dimension(*ps, *qs)
+    return ps, qs
+
+
+def pattern_distance_matrix(ps, qs, params=MetricParams(), spec=None, metric="dbar1"):
+    """Matrix of pairwise pattern distances between two collections."""
+    ps, qs = _as_collections(ps, qs, metric)
     p, c = params.order, params.cutoff
     out = np.empty((len(ps), len(qs)))
     for i, a in enumerate(ps):
         for j, b in enumerate(qs):
             out[i, j] = _pair_matching(a, b, p, c, spec, metric)[0]
     return out
+
+
+def _check_equal_sizes(ps, qs):
+    if len(ps) != len(qs):
+        raise ValueError(
+            f"collections have sizes {len(ps)} and {len(qs)}; unequal sizes "
+            "require the transportation route, see dbar2_transport"
+        )
 
 
 def dbar2_empirical(ps, qs, params=MetricParams(), spec=None, metric="dbar1"):
@@ -277,14 +290,114 @@ def dbar2_empirical(ps, qs, params=MetricParams(), spec=None, metric="dbar1"):
     an optimal pattern-level pairing (one N x N assignment). Unequal sizes
     are rejected; use :func:`dbar2_transport` for that case.
     """
-    if len(ps) != len(qs):
-        raise ValueError(
-            f"collections have sizes {len(ps)} and {len(qs)}; unequal sizes "
-            "require the transportation route, see dbar2_transport"
-        )
+    _check_equal_sizes(ps, qs)
     dmat = pattern_distance_matrix(ps, qs, params, spec, metric)
     total, _, _ = min_cost_matching(dmat, 0.0)
     return total / len(ps)
+
+
+def _nearest_sums(dist, row_counts, col_counts, p, c):
+    """Entry ``(i, j)``: the sum over the points of row block ``i`` of
+    ``min(c, distance to the nearest point of column block j) ** p``; an
+    empty column block is at distance ``c``, an empty row block sums to 0.
+    ``dist`` holds the distances between the stacked points."""
+    nearest = np.full((dist.shape[0], len(col_counts)), np.inf)
+    cols = col_counts > 0
+    if dist.size:
+        starts = np.cumsum(col_counts) - col_counts
+        nearest[:, cols] = np.minimum.reduceat(dist, starts[cols], axis=1)
+    np.minimum(nearest, c, out=nearest)
+    if p != 1.0:
+        np.power(nearest, p, out=nearest)
+    sums = np.zeros((len(row_counts), len(col_counts)))
+    rows = row_counts > 0
+    if dist.shape[0]:
+        starts = np.cumsum(row_counts) - row_counts
+        sums[rows] = np.add.reduceat(nearest, starts[rows], axis=0)
+    return sums
+
+
+def _pair_lower_bounds(ps, qs, p, c, metric):
+    """Lower bound on every entry of ``pattern_distance_matrix(ps, qs)``.
+
+    Every point of either pattern is matched or unmatched, at a cost of at
+    least ``min(c, distance to the nearest point of the other pattern) **
+    p`` (an unmatched point costs ``c ** p``), and each of the ``n - m``
+    points left over in the larger pattern costs ``c ** p`` exactly. So
+    the pair's matching total is at least the larger of the two patterns'
+    sums of those costs, the smaller pattern's plus ``(n - m) * c ** p``.
+    All nearest distances come from one ``cdist`` of the stacked
+    collections. ``d1`` at unequal counts is the cutoff itself.
+    """
+    dim = common_dimension(*ps, *qs)
+    stacked = [np.concatenate([a for a in side if len(a)] or [np.empty((0, dim))])
+               for side in (ps, qs)]
+    dist = cdist(*stacked) if all(len(s) for s in stacked) else \
+        np.empty((len(stacked[0]), len(stacked[1])))
+    fill = c ** p
+    m = np.array([len(a) for a in ps])
+    n = np.array([len(b) for b in qs])
+    excess = n - m[:, None]
+    total = np.maximum(
+        _nearest_sums(dist, m, n, p, c) + np.maximum(excess, 0) * fill,
+        _nearest_sums(dist.T, n, m, p, c).T + np.maximum(-excess, 0) * fill)
+    bounds = total ** (1.0 / p) / np.maximum(np.maximum.outer(m, n), 1)
+    if metric == "d1":
+        bounds[excess != 0] = c
+    return bounds
+
+
+# relative margin by which a bound must clear the compared value
+_SETTLE_MARGIN = 1e-9
+
+
+def _dbar2_compare(ps, qs, value, params=MetricParams(), metric="dbar1"):
+    """Sign of ``dbar2_empirical(ps, qs, params, None, metric) - value``.
+
+    Returns -1, 0 or +1, and solves pattern pairs only as far as the sign
+    needs. Any pairing of the collections costs at least the optimal one,
+    so the mean exact distance over one pairing, both sides sorted by
+    count, is an upper bound. The matrix then holds those exact entries
+    and :func:`_pair_lower_bounds` elsewhere. Each round takes its optimal
+    pairing, whose mean is a lower bound, and makes that pairing's entries
+    exact, which gives a new upper bound. A bound settles the sign only
+    when it clears ``value`` by a relative ``_SETTLE_MARGIN``, far above
+    the rounding of either path, so the result always equals the sign of
+    the exact difference. Once the optimal pairing holds only exact
+    entries the two bounds meet, and a value still within the margin is
+    decided by ``dbar2_empirical``: ties come from the exact value alone.
+    """
+    _check_equal_sizes(ps, qs)
+    ps, qs = _as_collections(ps, qs, metric)
+    p, c, size = params.order, params.cutoff, len(ps)
+    above, below = value * (1 + _SETTLE_MARGIN), value * (1 - _SETTLE_MARGIN)
+    rows = np.argsort([len(a) for a in ps], kind="stable")
+    cols = np.argsort([len(b) for b in qs], kind="stable")
+    upper = [_pair_matching(ps[i], qs[j], p, c, None, metric)[0]
+             for i, j in zip(rows, cols)]
+    if math.fsum(upper) / size < below:
+        return -1
+    costs = _pair_lower_bounds(ps, qs, p, c, metric)
+    costs[rows, cols] = upper
+    known = np.zeros(costs.shape, dtype=bool)
+    known[rows, cols] = True
+    while True:
+        lower, rows, cols = min_cost_matching(costs, 0.0)
+        if lower / size > above:
+            return 1
+        new = ~known[rows, cols]
+        if not new.any():
+            if lower / size < below:
+                return -1
+            break
+        costs[rows[new], cols[new]] = [
+            _pair_matching(ps[i], qs[j], p, c, None, metric)[0]
+            for i, j in zip(rows[new], cols[new])]
+        known[rows[new], cols[new]] = True
+        if math.fsum(costs[rows, cols].tolist()) / size < below:
+            return -1
+    exact = dbar2_empirical(ps, qs, params, None, metric)
+    return int(exact > value) - int(exact < value)
 
 
 def dbar2_transport(ps, qs, params=MetricParams(), spec=None, metric="dbar1"):

@@ -11,6 +11,7 @@ statistic is ranked within the pooled exchangeable values.
 
 import math
 import os
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -23,7 +24,7 @@ from .geometry import (
     nn_distances,
     subset_enclosing_diameters,
 )
-from .metrics import MetricParams, dbar1_pc, dbar2_empirical
+from .metrics import MetricParams, _dbar2_compare, dbar1_pc, dbar2_empirical
 from .processes import UNIT_SQUARE, RngStream, sample_collection, \
     sample_poisson_fkappa, sample_poisson_homogeneous
 
@@ -182,6 +183,72 @@ def _rejection_threshold(alpha, n_null):
     return nearest if abs(x - nearest) <= 1e-9 else math.floor(x)
 
 
+def _check_size(n_null, alpha):
+    """Reject ``n_null < 1`` or ``alpha`` outside (0, 1); warn when the
+    test's size falls below ``alpha``."""
+    if n_null < 1:
+        raise ValueError(f"n_null must be >= 1, got {n_null}")
+    if not 0 < alpha < 1:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    x = alpha * (n_null + 1)
+    if abs(x - round(x)) > 1e-9:
+        size = _rejection_threshold(alpha, n_null) / (n_null + 1)
+        warnings.warn(
+            f"alpha * (n_null + 1) = {x:g} is not an integer, so the test's "
+            f"size is {size:g}, below alpha = {alpha:g}",
+            UserWarning, stacklevel=3,
+        )
+
+
+def _monte_carlo(data, lam, params, n_null, alpha, rng, metric,
+                 share_reference, window, early_stop, settle):
+    """Null loop shared by :func:`homogeneity_test` and :func:`power_study`.
+
+    Returns ``(observed, nulls, rank, threshold)``. With ``settle=True``
+    each null is only compared with the observed statistic by
+    :func:`~ppmetrics.metrics._dbar2_compare`, which solves the full
+    pattern matrix only when its bounds leave the comparison open, and
+    ``nulls`` stays empty; the rank, and so the decision, is the same.
+    """
+    data = [as_pattern(p, dim=window.dimension) for p in data]
+    if len(data) < 2:
+        raise ValueError("homogeneity test requires at least 2 patterns")
+    n_patterns = len(data)
+    if lam is None:
+        lam = sum(len(p) for p in data) / n_patterns
+    if lam <= 0:
+        raise ValueError(f"lambda must be > 0, got {lam}")
+
+    def poisson(stream):
+        return sample_poisson_homogeneous(lam, window, stream)
+
+    reference = sample_collection(n_patterns, poisson, rng.substream(0))
+    observed = dbar2_empirical(data, reference, params, None, metric)
+    threshold = _rejection_threshold(alpha, n_null)
+    nulls = []
+    n_drawn = n_higher = n_tied = 0
+    while n_drawn < n_null and not (early_stop and n_higher >= threshold):
+        null_stream = rng.substream(1 + n_drawn)
+        null_data = sample_collection(n_patterns, poisson,
+                                      null_stream.substream(0))
+        ref_i = reference if share_reference else sample_collection(
+            n_patterns, poisson, null_stream.substream(1))
+        if settle:
+            sign = _dbar2_compare(null_data, ref_i, observed, params, metric)
+        else:
+            value = dbar2_empirical(null_data, ref_i, params, None, metric)
+            nulls.append(value)
+            sign = (value > observed) - (value < observed)
+        n_higher += sign > 0
+        n_tied += sign == 0
+        n_drawn += 1
+
+    rank = 1 + n_higher
+    if n_tied and n_drawn == n_null:
+        rank += int(rng.substream(n_null + 1).generator().integers(0, n_tied + 1))
+    return observed, nulls, rank, threshold
+
+
 def homogeneity_test(data, lam=None, params=MetricParams(), n_null=99,
                      alpha=0.05, rng=RngStream(0), metric="dbar1",
                      share_reference=True, window=UNIT_SQUARE,
@@ -203,7 +270,8 @@ def homogeneity_test(data, lam=None, params=MetricParams(), n_null=99,
     hypothesis is rejected when the observed statistic ranks within the
     top ``floor(alpha * (n_null + 1))`` values, so the size is at most
     ``alpha`` and exactly ``alpha`` when ``alpha * (n_null + 1)`` is an
-    integer (Hope 1968). Requires ``n_null >= 1`` and ``0 < alpha < 1``.
+    integer (Hope 1968); otherwise the size is below ``alpha`` and a
+    ``UserWarning`` says so. Requires ``n_null >= 1`` and ``0 < alpha < 1``.
 
     With ``early_stop=True`` the nulls are drawn in the same order but the
     loop ends as soon as the threshold number of them strictly exceed the
@@ -216,43 +284,10 @@ def homogeneity_test(data, lam=None, params=MetricParams(), n_null=99,
     test's; it makes no tie-break draw. A test that does not stop returns
     the same result as with ``early_stop=False``.
     """
-    data = [as_pattern(p, dim=window.dimension) for p in data]
-    if len(data) < 2:
-        raise ValueError("homogeneity test requires at least 2 patterns")
-    n_patterns = len(data)
-    if lam is None:
-        lam = sum(len(p) for p in data) / n_patterns
-    if lam <= 0:
-        raise ValueError(f"lambda must be > 0, got {lam}")
-    if n_null < 1:
-        raise ValueError(f"n_null must be >= 1, got {n_null}")
-    if not 0 < alpha < 1:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-
-    def poisson(stream):
-        return sample_poisson_homogeneous(lam, window, stream)
-
-    reference = sample_collection(n_patterns, poisson, rng.substream(0))
-    observed = dbar2_empirical(data, reference, params, None, metric)
-    threshold = _rejection_threshold(alpha, n_null)
-    nulls = []
-    n_higher = 0
-    for i in range(n_null):
-        if early_stop and n_higher >= threshold:
-            break
-        null_stream = rng.substream(1 + i)
-        null_data = sample_collection(n_patterns, poisson,
-                                      null_stream.substream(0))
-        ref_i = reference if share_reference else sample_collection(
-            n_patterns, poisson, null_stream.substream(1))
-        value = dbar2_empirical(null_data, ref_i, params, None, metric)
-        nulls.append(value)
-        n_higher += value > observed
-
-    rank = 1 + n_higher
-    n_tied = sum(v == observed for v in nulls)
-    if n_tied and len(nulls) == n_null:
-        rank += int(rng.substream(n_null + 1).generator().integers(0, n_tied + 1))
+    _check_size(n_null, alpha)
+    observed, nulls, rank, threshold = _monte_carlo(
+        data, lam, params, n_null, alpha, rng, metric, share_reference,
+        window, early_stop, settle=False)
     return TestResult(
         statistic=float(observed),
         null_statistics=tuple(float(v) for v in nulls),
@@ -281,12 +316,11 @@ def _power_replicate(args):
     data = sample_collection(n_patterns,
                              lambda s: sample_poisson_fkappa(lam, kappa, s),
                              stream.substream(0))
-    result = homogeneity_test(
-        data, lam=lam if lam_known else None, params=MetricParams(order, cutoff),
-        n_null=n_null, alpha=alpha, rng=stream.substream(1), metric=metric,
-        share_reference=share_reference, early_stop=True,
-    )
-    return result.reject
+    _, _, rank, threshold = _monte_carlo(
+        data, lam if lam_known else None, MetricParams(order, cutoff), n_null,
+        alpha, stream.substream(1), metric, share_reference, UNIT_SQUARE,
+        early_stop=True, settle=True)
+    return rank <= threshold
 
 
 def power_study(kappa, n_patterns=12, lam=30.0, cutoff=1.0, reps=100,
@@ -307,15 +341,22 @@ def power_study(kappa, n_patterns=12, lam=30.0, cutoff=1.0, reps=100,
     The paired shared-reference design and the known-intensity variant are
     both noticeably more powerful at cutoff 1. Only the decisions are
     used, so each test stops drawing nulls once its non-rejection is
-    settled (``early_stop``); every decision, and so the power, is that of
-    the full test. Replicates use disjoint substreams and are evaluated in
-    parallel processes (limited by PPMETRICS_THREADS) unless
-    ``parallel=False``.
+    settled (as ``homogeneity_test(early_stop=True)`` does), and each null
+    is only compared with the observed statistic: cheap upper and lower
+    bounds on its ``dbar2`` settle the comparison, and the full pattern
+    matrix is solved only when they do not. That saves the most where the
+    power is high, since those tests draw every null but nearly all of
+    them lie far below the observed statistic. Every decision, and so the
+    power, is that of the full test. A warning is issued once per call
+    when ``alpha * (n_null + 1)`` is not an integer. Replicates use
+    disjoint substreams and are evaluated in parallel processes (limited
+    by PPMETRICS_THREADS) unless ``parallel=False``.
     """
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
     if kappa <= 0:
         raise ValueError(f"kappa must be > 0, got {kappa}")
+    _check_size(n_null, alpha)
     jobs = [
         (rep, kappa, n_patterns, lam, order, cutoff, n_null, alpha, metric,
          share_reference, lam_known, rng.seed, rng.stream_index, rng.path)

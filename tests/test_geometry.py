@@ -242,3 +242,36 @@ def test_subset_without_containing_candidate_falls_back(monkeypatch):
     assert len(calls) == 1 and np.array_equal(calls[0], acute)
     assert math.isclose(subset_enclosing_diameters(obtuse, 3)[0], 1.0, rel_tol=1e-15)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("scale", [3e200, 3e-200])
+def test_min_enclosing_ball_of_extreme_coordinates(scale):
+    ball = min_enclosing_ball([[0.0, 0.0], [scale, 0.0]])
+    assert ball.radius == 0.5 * scale
+    np.testing.assert_array_equal(ball.center, [0.5 * scale, 0.0])
+    diameters = subset_enclosing_diameters([[0.0, 0.0], [scale, 0.0], [0.0, scale / 3]], 2)
+    np.testing.assert_allclose(diameters, [scale, scale / 3, scale * math.sqrt(10) / 3],
+                               rtol=1e-15)
+
+
+@pytest.mark.parametrize("exponent", [-700, -400, 400, 700])
+def test_enclosing_circles_scale_exactly_by_powers_of_two(exponent):
+    # the circumcircle of an acute triangle cubes its coordinates; an exact
+    # power-of-two scaling must scale the circles and nothing else
+    pts = np.random.default_rng(12).random((7, 2))
+    pts[:3] = [[0.0, 0.0], [1.0, 0.0], [0.45, 0.8]]
+    factor = 2.0 ** exponent
+    ball, scaled = min_enclosing_ball(pts), min_enclosing_ball(pts * factor)
+    assert scaled.radius == ball.radius * factor
+    np.testing.assert_array_equal(scaled.center, ball.center * factor)
+    for size in (2, 3, 4):
+        np.testing.assert_array_equal(subset_enclosing_diameters(pts * factor, size),
+                                      subset_enclosing_diameters(pts, size) * factor)
+
+
+def test_ordinary_coordinates_are_not_rescaled():
+    for top in (2.0 ** -300, 1e-12, 1.0, 1e6, 2.0 ** 300):
+        assert geometry._rescale_exponent(np.array([[0.0, top], [-top, 0.5 * top]])) == 0
+    assert geometry._rescale_exponent(np.zeros((3, 2))) == 0
+    assert geometry._rescale_exponent(np.array([[0.0, 3e200]])) != 0
+    assert geometry._rescale_exponent(np.array([[0.0, 3e-200]])) != 0

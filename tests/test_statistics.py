@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -389,3 +390,22 @@ def test_ustat_subset_limit():
     # arity 2 goes through pdist and has no limit: C(1500, 2) > 10**6
     assert math.comb(1500, 2) > MAX_USTAT_SUBSETS
     assert 0.0 < ustat(gen.random((1500, 2)), HALF, CENTER) <= 0.5
+
+
+def test_inexact_size_warns_once_per_call():
+    data = _poisson_data(4, 10.0, 50)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        homogeneity_test(data, lam=10.0, n_null=99, alpha=0.05, rng=RngStream(51),
+                         early_stop=True)
+        power_study(2.0, n_patterns=3, lam=5.0, reps=2, rng=RngStream(52),
+                    n_null=19, parallel=False)
+    with pytest.warns(UserWarning, match=r"alpha \* \(n_null \+ 1\) = 2\.55 .* size is 0\.0392157"):
+        res = homogeneity_test(data, lam=10.0, n_null=50, alpha=0.05, rng=RngStream(51))
+    assert res.reject == (res.rank <= 2)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        power_study(2.0, n_patterns=3, lam=5.0, reps=3, rng=RngStream(52),
+                    n_null=9, parallel=False)
+    assert [str(w.message)[:24] for w in caught] == ["alpha * (n_null + 1) = 0"]
+    assert caught[0].filename == __file__
