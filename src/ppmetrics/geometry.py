@@ -35,7 +35,9 @@ class GroundMetricSpec:
 
     ``theory_mode=True`` enforces ``cap <= 1``, the regime in which the
     pattern metrics built on top are bounded by 1 and all metric-theoretic
-    guarantees hold.
+    guarantees hold. ``dimension`` is validated (``>= 1``) but never
+    checked against the patterns: every metric uses the patterns' own
+    dimension.
     """
 
     cap: float = 1.0
@@ -149,15 +151,25 @@ def _circle_three(a, b, c):
     return np.where(bad[..., None], np.nan, center), np.where(bad, np.nan, radius)
 
 
-def _inside(dist, radius, tol=1e-12):
-    # containment with a relative and an absolute slack for rounding
-    return dist <= radius * (1 + tol) + tol
+# containment slack for rounding, relative to the radius and to the spread
+_SLACK = 1e-12
 
 
-def _first_outside(pts, start, stop, center, radius):
+def _spread(pts, axis=0):
+    """Largest coordinate range of a point set (over ``axis``)."""
+    return np.ptp(pts, axis=axis).max(axis=-1)
+
+
+def _inside(dist, radius, spread):
+    # the slack scales with the points, so a tiny cluster is not "inside"
+    # every circle drawn around one of its points
+    return dist <= radius * (1 + _SLACK) + _SLACK * spread
+
+
+def _first_outside(pts, start, stop, center, radius, spread):
     """Index of the first of ``pts[start:stop]`` outside the circle, or None."""
     dist = np.linalg.norm(pts[start:stop] - center, axis=1)
-    out = np.flatnonzero(~_inside(dist, radius))
+    out = np.flatnonzero(~_inside(dist, radius, spread))
     return start + int(out[0]) if len(out) else None
 
 
@@ -217,21 +229,22 @@ def min_enclosing_ball(points):
     order = list(range(len(pts)))
     random.Random(0x5EB).shuffle(order)
     shuffled = pts[order]
+    spread = float(_spread(pts))
     center, radius = shuffled[0], 0.0
-    i = _first_outside(shuffled, 1, len(shuffled), center, radius)
+    i = _first_outside(shuffled, 1, len(shuffled), center, radius, spread)
     while i is not None:
         # ball of shuffled[:i + 1] with point i on its boundary
         center, radius = shuffled[i], 0.0
-        j = _first_outside(shuffled, 0, i, center, radius)
+        j = _first_outside(shuffled, 0, i, center, radius, spread)
         while j is not None:
             # ... and with point j on its boundary too
             center, radius = _circle_two(shuffled[i], shuffled[j])
-            k = _first_outside(shuffled, 0, j, center, radius)
+            k = _first_outside(shuffled, 0, j, center, radius, spread)
             while k is not None:
                 center, radius = _circle_through(shuffled[i], shuffled[j], shuffled[k])
-                k = _first_outside(shuffled, k + 1, j, center, radius)
-            j = _first_outside(shuffled, j + 1, i, center, radius)
-        i = _first_outside(shuffled, i + 1, len(shuffled), center, radius)
+                k = _first_outside(shuffled, k + 1, j, center, radius, spread)
+            j = _first_outside(shuffled, j + 1, i, center, radius, spread)
+        i = _first_outside(shuffled, i + 1, len(shuffled), center, radius, spread)
     # guard against accumulated tolerance slack: grow to cover every input
     reach = float(np.max(np.linalg.norm(pts - center, axis=1)))
     return Ball(np.array(center, dtype=float), max(float(radius), reach))
@@ -285,7 +298,8 @@ def subset_enclosing_diameters(points, size):
         centers = np.concatenate([c2, c3], axis=1)
         radii = np.concatenate([r2, r3], axis=1)
         dist = np.linalg.norm(sub[:, None, :, :] - centers[:, :, None, :], axis=-1)
-        contains = _inside(dist, radii[..., None]).all(axis=2)
+        spread = _spread(sub, axis=1)[:, None, None]
+        contains = _inside(dist, radii[..., None], spread).all(axis=2)
         best = np.where(contains, radii, np.inf).argmin(axis=1)
         rows = np.arange(count)
         radius = np.maximum(radii[rows, best], dist[rows, best].max(axis=1))

@@ -189,7 +189,8 @@ def dbar1_pc(xi, eta, params=MetricParams(), spec=None):
     ** (1/p) / n``; the ground distance ``d0`` is plain Euclidean unless a
     ``spec`` imposes an additional cap. The normalization divides by ``n``
     after taking the p-th root, so for any inputs the value is at most
-    ``c`` (and at most ``c * n**(1/p - 1)``).
+    ``c`` (and at most ``c * n**(1/p - 1)``). It is symmetric, but for
+    ``p > 1`` the triangle inequality can fail, so it is then not a metric.
     """
     xi = as_pattern(xi)
     eta = as_pattern(eta)

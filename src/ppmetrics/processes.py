@@ -7,9 +7,11 @@ independent draws. Monte Carlo drivers allocate one substream per
 replicate, so runs parallelize deterministically.
 """
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .geometry import as_pattern
 from .metrics import CountDistribution
@@ -29,6 +31,107 @@ __all__ = [
 ]
 
 
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx); the
+# import-time check below fails if a numpy release changes them
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
+_XSHIFT = 16
+
+
+def _words(value):
+    """Little-endian 32-bit words of a non-negative integer, as numpy splits it."""
+    value = operator.index(value)
+    if value < 0:
+        raise ValueError(f"expected non-negative integer, got {value}")
+    words = [value & _MASK32]
+    value >>= 32
+    while value:
+        words.append(value & _MASK32)
+        value >>= 32
+    return words
+
+
+def _hashmix(value, hash_const):
+    value ^= hash_const
+    hash_const = hash_const * _MULT_A & _MASK32
+    value = value * hash_const & _MASK32
+    return value ^ (value >> _XSHIFT), hash_const
+
+
+def _mix(x, y):
+    result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return result ^ (result >> _XSHIFT)
+
+
+def _fold(pool, hash_const, words):
+    """Mix ``words`` into a copy of ``pool``, one pass over the pool per word.
+
+    This is how ``SeedSequence.mix_entropy`` takes every entropy word past
+    the pool size, so a spawn key can be folded in one word at a time.
+    Returns the new pool and the running hash constant.
+    """
+    pool = list(pool)
+    for word in words:
+        for i in range(_POOL_SIZE):
+            value, hash_const = _hashmix(word, hash_const)
+            pool[i] = _mix(pool[i], value)
+    return tuple(pool), hash_const
+
+
+def _seed_pool(seed):
+    """Pool and hash constant of a spawned ``SeedSequence`` before its key.
+
+    numpy pads the seed's words with zeros to the pool size whenever a
+    spawn key is given, hashes them into the pool, cross-mixes the pool,
+    and then folds in any seed words past the pool size.
+    """
+    words = _words(seed)
+    words += [0] * (_POOL_SIZE - len(words))
+    hash_const = _INIT_A
+    pool = []
+    for word in words[:_POOL_SIZE]:
+        value, hash_const = _hashmix(word, hash_const)
+        pool.append(value)
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                value, hash_const = _hashmix(pool[src], hash_const)
+                pool[dst] = _mix(pool[dst], value)
+    return _fold(pool, hash_const, words[_POOL_SIZE:])
+
+
+def _pcg64_words(pool):
+    """``SeedSequence.generate_state(4, np.uint64)`` of a mixed pool."""
+    hash_const = _INIT_B
+    words = []
+    for i in range(8):
+        value = pool[i % _POOL_SIZE] ^ hash_const
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * hash_const & _MASK32
+        words.append(value ^ (value >> _XSHIFT))
+    # numpy pairs the 32-bit words little-endian
+    return np.array([lo | hi << 32 for lo, hi in zip(words[::2], words[1::2])],
+                    dtype=np.uint64)
+
+
+class _PCG64Seed(ISeedSequence):
+    """Hands ``PCG64`` the four ``uint64`` state words it asks for."""
+
+    def __init__(self, words):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != len(self.words) or np.dtype(dtype) != np.uint64:
+            raise ValueError("holds only the 4 uint64 words that seed PCG64")
+        return self.words
+
+
 @dataclass(frozen=True)
 class RngStream:
     """Addressable randomness source: a seed plus a stream coordinate.
@@ -36,20 +139,52 @@ class RngStream:
     ``substream(k)`` derives a child stream; children with distinct paths
     are independent. ``generator()`` always starts from the beginning of
     the stream, which is what makes samplers pure functions of the value.
+    The stream is numpy's ``PCG64(SeedSequence(seed, spawn_key=(stream_index,
+    *path)))`` bit for bit. The mixed ``SeedSequence`` pool of the stream's
+    own key is kept with it and handed down, so a substream folds in only
+    its own key word instead of hashing the seed and the whole key again.
     """
 
     seed: int
     stream_index: int = 0
     path: tuple = field(default=())
+    # (pool, hash constant) after the seed and the key; derived on first use
+    _pool: tuple = field(default=None, init=False, compare=False, repr=False)
 
     def substream(self, k):
-        return RngStream(self.seed, self.stream_index, self.path + (int(k),))
+        k = int(k)
+        child = RngStream(self.seed, self.stream_index, self.path + (k,))
+        object.__setattr__(child, "_pool", _fold(*self._mixed_pool(), _words(k)))
+        return child
 
     def generator(self):
-        seq = np.random.SeedSequence(
-            entropy=int(self.seed), spawn_key=(int(self.stream_index),) + self.path
+        words = _pcg64_words(self._mixed_pool()[0])
+        return np.random.Generator(np.random.PCG64(_PCG64Seed(words)))
+
+    def _mixed_pool(self):
+        if self._pool is None:
+            pool, hash_const = _seed_pool(int(self.seed))
+            key = [int(self.stream_index), *self.path]
+            words = [w for k in key for w in _words(k)]
+            object.__setattr__(self, "_pool", _fold(pool, hash_const, words))
+        return self._pool
+
+
+def _check_seed_constants():
+    """Fail on import if numpy's ``SeedSequence`` no longer mixes as ours does."""
+    seed, key = 2**70 + 12345, (3, 2**40 + 7)
+    pool, _ = RngStream(seed, key[0]).substream(key[1])._mixed_pool()
+    reference = np.random.SeedSequence(seed, spawn_key=key)
+    if not (pool == tuple(reference.pool.tolist()) and np.array_equal(
+            _pcg64_words(pool), reference.generate_state(4, np.uint64))):
+        raise RuntimeError(
+            f"numpy {np.__version__} mixes SeedSequence entropy differently "
+            "from ppmetrics.processes.RngStream, so its streams would not be "
+            "numpy's; the SeedSequence constants there need updating"
         )
-        return np.random.Generator(np.random.PCG64(seq))
+
+
+_check_seed_constants()
 
 
 @dataclass(frozen=True)
@@ -58,6 +193,9 @@ class Window:
 
     lower: tuple = (0.0, 0.0)
     upper: tuple = (1.0, 1.0)
+    # corner arrays of sample_uniform, built once
+    _origin: np.ndarray = field(init=False, compare=False, repr=False)
+    _extent: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         lo = np.asarray(self.lower, dtype=float)
@@ -70,15 +208,18 @@ class Window:
             raise ValueError("window must satisfy lower < upper coordinatewise")
         object.__setattr__(self, "lower", tuple(float(v) for v in lo))
         object.__setattr__(self, "upper", tuple(float(v) for v in hi))
+        origin = np.asarray(self.lower)
+        extent = np.asarray(self.upper) - origin
+        origin.flags.writeable = extent.flags.writeable = False
+        object.__setattr__(self, "_origin", origin)
+        object.__setattr__(self, "_extent", extent)
 
     @property
     def dimension(self):
         return len(self.lower)
 
     def sample_uniform(self, n, gen):
-        lo = np.asarray(self.lower)
-        hi = np.asarray(self.upper)
-        return lo + (hi - lo) * gen.random((n, self.dimension))
+        return self._origin + self._extent * gen.random((n, self.dimension))
 
     @property
     def center(self):

@@ -275,3 +275,23 @@ def test_ordinary_coordinates_are_not_rescaled():
     assert geometry._rescale_exponent(np.zeros((3, 2))) == 0
     assert geometry._rescale_exponent(np.array([[0.0, 3e200]])) != 0
     assert geometry._rescale_exponent(np.array([[0.0, 3e-200]])) != 0
+
+
+@pytest.mark.parametrize("pts, radius", [
+    # a spread far below the old absolute slack of 1e-12
+    ([[0.0, 0.0], [1e-20, 0.0]], 5e-21),
+    ([[0.0, 0.0], [1e-20, 0.0], [0.0, 1e-20]], math.hypot(1e-20, 1e-20) / 2),
+    # ... and one offset from the origin, where rounding is about 1e-16
+    ([[1.0, 1.0], [1.0 + 1e-13, 1.0]], ((1.0 + 1e-13) - 1.0) / 2),
+    ([[1.0, 1.0], [1.0 + 1e-13, 1.0], [1.0, 1.0 + 1e-13]],
+     math.hypot((1.0 + 1e-13) - 1.0, (1.0 + 1e-13) - 1.0) / 2),
+])
+def test_enclosing_circles_of_tiny_clusters(pts, radius):
+    # the containment slack scales with the cluster's spread, so a circle
+    # drawn around one point does not "contain" the others
+    slack = 4 * np.spacing(np.abs(pts).max()) if np.abs(pts).max() > 0.5 else 0.0
+    ball = min_enclosing_ball(pts)
+    assert abs(ball.radius - radius) <= slack + 1e-12 * radius
+    assert np.linalg.norm(np.asarray(pts) - ball.center, axis=1).max() <= ball.radius
+    (diameter,) = subset_enclosing_diameters(pts, len(pts))
+    assert abs(diameter - 2 * radius) <= 2 * slack + 2e-12 * radius
