@@ -136,6 +136,23 @@ def _refit_basis(plan, source, target, tol=1e-9):
     return refit
 
 
+def _check_weights(w, name):
+    """Raise unless the 1-d float array ``w`` is a probability vector:
+    entries in [0, 1], none NaN, that sum to 1 within 1e-10."""
+    if not ((w >= 0) & (w <= 1 + 1e-10)).all():
+        raise ValueError(f"{name} must lie in [0, 1]")
+    if not abs(math.fsum(w.tolist()) - 1.0) <= 1e-10:
+        raise ValueError(f"{name} must sum to 1 within 1e-10")
+
+
+def _check_transport_side(k, l):
+    if max(k, l) > MAX_TRANSPORT_SIDE:
+        raise ValueError(
+            f"transportation instance {k}x{l} exceeds the supported size "
+            f"{MAX_TRANSPORT_SIDE}; split the problem or use the assignment path"
+        )
+
+
 def solve_transportation(source_weights, target_weights, cost):
     """Optimal transport plan between two discrete probability vectors.
 
@@ -153,17 +170,10 @@ def solve_transportation(source_weights, target_weights, cost):
         raise ValueError(
             f"cost shape {arr.shape} does not match weights ({src.size}, {tgt.size})"
         )
-    for name, w in (("source", src), ("target", tgt)):
-        if (w < 0).any():
-            raise ValueError(f"{name} weights contain negative entries")
-        if abs(math.fsum(w.tolist()) - 1.0) > 1e-10:
-            raise ValueError(f"{name} weights must sum to 1 within 1e-10")
+    _check_weights(src, "source weights")
+    _check_weights(tgt, "target weights")
     k, l = arr.shape
-    if max(k, l) > MAX_TRANSPORT_SIDE:
-        raise ValueError(
-            f"transportation instance {k}x{l} exceeds the supported size "
-            f"{MAX_TRANSPORT_SIDE}; split the problem or use the assignment path"
-        )
+    _check_transport_side(k, l)
 
     # equality constraints: k row sums then l column sums (one is redundant,
     # HiGHS handles the dependency)

@@ -25,7 +25,8 @@ import numpy as np
 from scipy.spatial.distance import cdist
 from scipy.stats import binom, poisson
 
-from .assignment import min_cost_matching, solve_transportation
+from .assignment import _check_transport_side, _check_weights, \
+    min_cost_matching, solve_transportation
 from .geometry import GroundMetricSpec, as_pattern, common_dimension, \
     pairwise_ground_distances
 
@@ -42,11 +43,7 @@ __all__ = [
     "dW_empirical",
     "pattern_distance_matrix",
     "matching_details",
-    "MAX_DBAR2_CELLS",
 ]
-
-# N * M cap for the unequal-size transportation fallback of dbar2
-MAX_DBAR2_CELLS = 250_000
 
 
 @dataclass(frozen=True)
@@ -79,10 +76,7 @@ class CountDistribution:
             raise ValueError("support must consist of nonnegative integers")
         if len(np.unique(sup)) != sup.size or (np.diff(sup) <= 0).any():
             raise ValueError("support must be strictly ascending and distinct")
-        if (pr < 0).any():
-            raise ValueError("probabilities must be nonnegative")
-        if abs(math.fsum(pr.tolist()) - 1.0) > 1e-10:
-            raise ValueError("probabilities must sum to 1 within 1e-10")
+        _check_weights(pr, "probabilities")
         object.__setattr__(self, "support", tuple(int(k) for k in sup))
         object.__setattr__(self, "probs", tuple(float(p) for p in pr))
 
@@ -117,13 +111,18 @@ class CountDistribution:
         return math.fsum(p for k, p in zip(self.support, self.probs) if k > 0)
 
 
-def _theory_warning(cutoff):
+def _as_pair(xi, eta, cutoff):
+    """Two validated patterns of a common dimension; warns, at the public
+    caller's line, when ``cutoff > 1``."""
+    xi, eta = as_pattern(xi), as_pattern(eta)
+    common_dimension(xi, eta)
     if cutoff > 1:
         warnings.warn(
             f"cutoff {cutoff} > 1: distances are bounded by the cutoff, "
             "not by 1, and the theory-mode guarantees do not apply",
             stacklevel=3,
         )
+    return xi, eta
 
 
 def _pair_matching(a, b, p, c, spec, metric="dbar1"):
@@ -161,10 +160,7 @@ def d1(xi, eta, spec=GroundMetricSpec()):
     of different sizes are at the largest ground distance, ``spec.cap``,
     which is 1 in the paper's setting.
     """
-    xi = as_pattern(xi)
-    eta = as_pattern(eta)
-    common_dimension(xi, eta)
-    _theory_warning(spec.cap)
+    xi, eta = _as_pair(xi, eta, spec.cap)
     return _pair_matching(xi, eta, 1.0, spec.cap, None, "d1")[0]
 
 
@@ -175,10 +171,7 @@ def dbar1(xi, eta, spec=GroundMetricSpec()):
     ``(min over injections of the m matched ground distances + (n - m)
     * cap) / n``; both patterns empty gives 0.
     """
-    xi = as_pattern(xi)
-    eta = as_pattern(eta)
-    common_dimension(xi, eta)
-    _theory_warning(spec.cap)
+    xi, eta = _as_pair(xi, eta, spec.cap)
     return _pair_matching(xi, eta, 1.0, spec.cap, None)[0]
 
 
@@ -192,10 +185,7 @@ def dbar1_pc(xi, eta, params=MetricParams(), spec=None):
     ``c`` (and at most ``c * n**(1/p - 1)``). It is symmetric, but for
     ``p > 1`` the triangle inequality can fail, so it is then not a metric.
     """
-    xi = as_pattern(xi)
-    eta = as_pattern(eta)
-    common_dimension(xi, eta)
-    _theory_warning(params.cutoff)
+    xi, eta = _as_pair(xi, eta, params.cutoff)
     return _pair_matching(xi, eta, params.order, params.cutoff, spec)[0]
 
 
@@ -207,9 +197,7 @@ def matching_details(xi, eta, params=MetricParams(), spec=None, metric="dbar1"):
     ``eta``. For ``metric="d1"`` with differing cardinalities there is no
     pairing and the list is empty.
     """
-    xi = as_pattern(xi)
-    eta = as_pattern(eta)
-    common_dimension(xi, eta)
+    xi, eta = _as_pair(xi, eta, params.cutoff)
     value, xi_idx, eta_idx = _pair_matching(
         xi, eta, params.order, params.cutoff, spec, metric)
     if xi_idx is None:
@@ -248,19 +236,12 @@ def dRW(mu, nu):
     return plan.total_cost, plan
 
 
-def _as_collection(patterns):
-    pats = [as_pattern(p) for p in patterns]
-    if len(pats) == 0:
-        raise ValueError("a pattern collection must contain at least one pattern")
-    common_dimension(*pats)
-    return pats
-
-
 def _as_collections(ps, qs, metric):
     if metric not in ("dbar1", "d1"):
         raise ValueError(f"unknown pattern metric {metric!r}")
-    ps = _as_collection(ps)
-    qs = _as_collection(qs)
+    ps, qs = [as_pattern(a) for a in ps], [as_pattern(b) for b in qs]
+    if not (ps and qs):
+        raise ValueError("a pattern collection must contain at least one pattern")
     common_dimension(*ps, *qs)
     return ps, qs
 
@@ -405,13 +386,10 @@ def dbar2_transport(ps, qs, params=MetricParams(), spec=None, metric="dbar1"):
     """Wasserstein distance between uniform empirical collections of any sizes.
 
     Solves the transportation problem with uniform weights over the
-    ``N x M`` matrix of pattern distances; limited to ``N * M`` up to
-    ``MAX_DBAR2_CELLS`` cells.
+    ``N x M`` matrix of pattern distances. A collection of more than
+    ``MAX_TRANSPORT_SIDE`` patterns is refused before any pair is solved.
     """
-    if len(ps) * len(qs) > MAX_DBAR2_CELLS:
-        raise ValueError(
-            f"{len(ps)} x {len(qs)} exceeds the {MAX_DBAR2_CELLS}-cell limit"
-        )
+    _check_transport_side(len(ps), len(qs))
     dmat = pattern_distance_matrix(ps, qs, params, spec, metric)
     n, m = dmat.shape
     plan = solve_transportation(np.full(n, 1.0 / n), np.full(m, 1.0 / m), dmat)
@@ -425,13 +403,11 @@ def dW_empirical(xs, ys, spec=GroundMetricSpec()):
     the samples; a consistent estimator of the Wasserstein distance between
     the sampled location distributions.
     """
-    xs = as_pattern(xs)
-    ys = as_pattern(ys)
-    common_dimension(xs, ys)
-    if len(xs) != len(ys):
-        raise ValueError(f"sample sizes differ: {len(xs)} vs {len(ys)}")
-    if len(xs) == 0:
-        raise ValueError("samples must be nonempty")
     costs = pairwise_ground_distances(xs, ys, spec)
+    n, m = costs.shape
+    if n != m:
+        raise ValueError(f"sample sizes differ: {n} vs {m}")
+    if n == 0:
+        raise ValueError("samples must be nonempty")
     total, _, _ = min_cost_matching(costs, 0.0)
-    return total / len(xs)
+    return total / n

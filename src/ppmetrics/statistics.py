@@ -14,6 +14,7 @@ import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.spatial.distance import pdist
@@ -68,8 +69,8 @@ class KernelSpec:
             raise ValueError(f"arity must be >= 2, got {self.arity}")
         if self.kind == "half_interpoint" and self.arity != 2:
             raise ValueError("half_interpoint is a 2-ary kernel")
-        if self.cap <= 0:
-            raise ValueError(f"cap must be > 0, got {self.cap}")
+        if not np.isfinite(self.cap) or self.cap <= 0:
+            raise ValueError(f"cap must be a finite positive real, got {self.cap}")
 
 
 def ustat(pattern, kernel, anchor):
@@ -309,16 +310,15 @@ def worker_count():
     return n if n > 0 else (os.cpu_count() or 1)
 
 
-def _power_replicate(args):
-    (rep, kappa, n_patterns, lam, order, cutoff, n_null, alpha, metric,
-     share_reference, lam_known, seed, stream_index, path) = args
-    stream = RngStream(seed, stream_index, tuple(path)).substream(rep)
+def _power_replicate(rep, kappa, n_patterns, lam, params, n_null, alpha,
+                     metric, share_reference, lam_known, rng):
+    stream = rng.substream(rep)
     data = sample_collection(n_patterns,
                              lambda s: sample_poisson_fkappa(lam, kappa, s),
                              stream.substream(0))
     _, _, rank, threshold = _monte_carlo(
-        data, lam if lam_known else None, MetricParams(order, cutoff), n_null,
-        alpha, stream.substream(1), metric, share_reference, UNIT_SQUARE,
+        data, lam if lam_known else None, params, n_null, alpha,
+        stream.substream(1), metric, share_reference, UNIT_SQUARE,
         early_stop=True, settle=True)
     return rank <= threshold
 
@@ -357,18 +357,17 @@ def power_study(kappa, n_patterns=12, lam=30.0, cutoff=1.0, reps=100,
     if kappa <= 0:
         raise ValueError(f"kappa must be > 0, got {kappa}")
     _check_size(n_null, alpha)
-    jobs = [
-        (rep, kappa, n_patterns, lam, order, cutoff, n_null, alpha, metric,
-         share_reference, lam_known, rng.seed, rng.stream_index, rng.path)
-        for rep in range(reps)
-    ]
+    job = partial(_power_replicate, kappa=kappa, n_patterns=n_patterns,
+                  lam=lam, params=MetricParams(order, cutoff), n_null=n_null,
+                  alpha=alpha, metric=metric, share_reference=share_reference,
+                  lam_known=lam_known, rng=rng)
     workers = min(worker_count(), reps) if parallel else 1
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rejects = list(pool.map(_power_replicate, jobs, chunksize=max(
+            rejects = list(pool.map(job, range(reps), chunksize=max(
                 1, reps // (4 * workers))))
     else:
-        rejects = [_power_replicate(job) for job in jobs]
+        rejects = [job(rep) for rep in range(reps)]
     power = sum(rejects) / reps
     se = math.sqrt(power * (1.0 - power) / reps)
     return PowerEstimate(kappa=float(kappa), cutoff=float(cutoff), reps=reps,

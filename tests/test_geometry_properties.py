@@ -36,8 +36,9 @@ def test_batched_diameters_equal_welzl_and_enclose(case):
         sub = pts[list(idx)]
         ball = min_enclosing_ball(sub)
         # both accept a circle that misses a point by the containment slack
-        # (1e-12 relative plus 1e-12 absolute on the radius) and then grow
-        # it, so they can differ by that slack on the diameter
+        # (1e-12 relative on the radius plus 1e-12 times the points'
+        # largest coordinate range, at most 2 here) and then grow it, so
+        # they can differ by that slack on the diameter
         assert math.isclose(value, 2.0 * ball.radius, rel_tol=2e-12, abs_tol=4e-12)
         # every point lies in a circle of that diameter around Welzl's
         # centre, and no enclosing circle is narrower than the set
