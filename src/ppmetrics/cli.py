@@ -5,10 +5,10 @@ Subcommands: ``dist`` (pattern distances), ``simulate`` (process samplers),
 ``bounds`` (closed-form bound evaluators). All randomness flows from the
 ``--seed`` flag through deterministic substreams; no command ever seeds
 from the clock. Output is a JSON result document (``simulate`` emits
-pattern text, ``power --csv`` emits CSV).
+pattern text, ``power --csv`` emits CSV), built only by :func:`main`.
 
 Exit codes: 0 success, 2 usage error, 3 data/parse error, 4 numeric-domain
-error.
+error, which includes inputs too large to represent or to allocate.
 """
 
 import argparse
@@ -55,7 +55,7 @@ def build_parser():
     p_sim = sub.add_parser("simulate", help="sample point patterns to stdout")
     p_sim.add_argument("--model", required=True,
                        choices=["poisson", "fkappa", "bernoulli", "binomial"])
-    p_sim.add_argument("--lambda", dest="lam", type=float, default=30.0,
+    p_sim.add_argument("--lambda", type=float, default=30.0,
                        help="total intensity for poisson/fkappa (default 30)")
     p_sim.add_argument("--kappa", type=float, default=1.0,
                        help="tilt strength for fkappa (default 1)")
@@ -71,7 +71,7 @@ def build_parser():
                                      "of single-pattern files with --dir")
     p_test.add_argument("--dir", action="store_true",
                         help="read every file in the data directory as one pattern")
-    p_test.add_argument("--lambda", dest="lam", type=float, default=None,
+    p_test.add_argument("--lambda", type=float, default=None,
                         help="total intensity under the null (default: mean count)")
     p_test.add_argument("--cutoff", type=float, default=1.0)
     p_test.add_argument("--order", type=float, default=1.0)
@@ -90,7 +90,7 @@ def build_parser():
     p_pow.add_argument("--metric", choices=["d1", "dbar1"], default="dbar1")
     p_pow.add_argument("--reps", type=int, default=100)
     p_pow.add_argument("--n-patterns", type=int, default=12)
-    p_pow.add_argument("--lambda", dest="lam", type=float, default=30.0)
+    p_pow.add_argument("--lambda", type=float, default=30.0)
     p_pow.add_argument("--null", type=int, default=99)
     p_pow.add_argument("--share-reference", action="store_true",
                        help="share one reference collection across each "
@@ -109,7 +109,7 @@ def build_parser():
                               "poisson-poisson", "counterexample"])
     p_b.add_argument("--n", type=int, default=None,
                      help="pattern size (omit for the unbounded marker)")
-    p_b.add_argument("--lambda", dest="lam", type=float, default=None)
+    p_b.add_argument("--lambda", type=float, default=None)
     p_b.add_argument("--p", type=float, default=None)
     p_b.add_argument("--mu", type=str, default=None,
                      help="count distribution, e.g. binomial:3,0.5 or "
@@ -148,204 +148,140 @@ def parse_count_distribution(spec):
     )
 
 
-def _cmd_dist(args):
-    a = read_single_pattern(args.file_a)
-    b = read_single_pattern(args.file_b)
-    params = MetricParams(order=args.order, cutoff=args.cutoff)
-    t0 = time.perf_counter()
-    value, pairs = matching_details(a, b, params, spec=None, metric=args.metric)
-    doc = {
-        "command": "dist",
-        "parameters": {
-            "file_a": args.file_a,
-            "file_b": args.file_b,
-            "metric": args.metric,
-            "order": args.order,
-            "cutoff": args.cutoff,
-        },
-        "seed": None,
-        "value": value,
-    }
-    if args.show_assignment:
-        doc["assignment"] = [
+def _pick(opts, names):
+    return {name: opts[name] for name in names}
+
+
+def _cmd_dist(opts):
+    a = read_single_pattern(opts["file_a"])
+    b = read_single_pattern(opts["file_b"])
+    params = MetricParams(order=opts["order"], cutoff=opts["cutoff"])
+    value, pairs = matching_details(a, b, params, spec=None, metric=opts["metric"])
+    fields = {"value": value}
+    if opts["show_assignment"]:
+        fields["assignment"] = [
             ["unmatched" if i is None else i, "unmatched" if j is None else j]
             for i, j in pairs
         ]
-    doc["wall_time_s"] = time.perf_counter() - t0
-    print(dumps_result(doc), end="")
-    return 0
+    parameters = _pick(opts, ["file_a", "file_b", "metric", "order", "cutoff"])
+    return parameters, None, fields
 
 
-def _cmd_simulate(args):
-    rng = RngStream(args.seed)
-    if args.n_patterns < 1:
-        raise ValueError(f"--n-patterns must be >= 1, got {args.n_patterns}")
+def _cmd_simulate(opts):
+    rng = RngStream(opts["seed"])
+    if opts["n_patterns"] < 1:
+        raise ValueError(f"--n-patterns must be >= 1, got {opts['n_patterns']}")
+    lam, kappa, n, p = opts["lambda"], opts["kappa"], opts["n"], opts["p"]
     samplers = {
-        "poisson": lambda s: sample_poisson_homogeneous(args.lam, UNIT_SQUARE, s),
-        "fkappa": lambda s: sample_poisson_fkappa(args.lam, args.kappa, s),
-        "bernoulli": lambda s: sample_bernoulli_process(args.n, args.p, s),
-        "binomial": lambda s: sample_binomial_process(args.n, args.p, s),
+        "poisson": lambda s: sample_poisson_homogeneous(lam, UNIT_SQUARE, s),
+        "fkappa": lambda s: sample_poisson_fkappa(lam, kappa, s),
+        "bernoulli": lambda s: sample_bernoulli_process(n, p, s),
+        "binomial": lambda s: sample_binomial_process(n, p, s),
     }
-    patterns = sample_collection(args.n_patterns, samplers[args.model], rng)
-    sys.stdout.write(format_patterns(patterns))
-    return 0
+    return format_patterns(
+        sample_collection(opts["n_patterns"], samplers[opts["model"]], rng))
 
 
-def _read_test_data(args):
-    if args.dir:
+def _read_test_data(opts):
+    data = opts["data"]
+    if opts["dir"]:
         try:
-            names = sorted(os.listdir(args.data))
+            names = sorted(os.listdir(data))
         except OSError as exc:
             raise PatternFileError(
-                f"cannot list directory {args.data}: {exc}") from exc
+                f"cannot list directory {data}: {exc}") from exc
         if not names:
-            raise PatternFileError(f"directory {args.data} is empty")
-        return [
-            read_single_pattern(os.path.join(args.data, name)) for name in names
-        ]
-    return read_patterns(args.data)
+            raise PatternFileError(f"directory {data} is empty")
+        return [read_single_pattern(os.path.join(data, name)) for name in names]
+    return read_patterns(data)
 
 
-def _cmd_test(args):
-    data = _read_test_data(args)
-    params = MetricParams(order=args.order, cutoff=args.cutoff)
-    t0 = time.perf_counter()
+def _cmd_test(opts):
+    data = _read_test_data(opts)
+    params = MetricParams(order=opts["order"], cutoff=opts["cutoff"])
     result = homogeneity_test(
-        data, lam=args.lam, params=params, n_null=args.null, alpha=args.alpha,
-        rng=RngStream(args.seed), metric=args.metric,
-        share_reference=not args.redraw_reference,
+        data, lam=opts["lambda"], params=params, n_null=opts["null"],
+        alpha=opts["alpha"], rng=RngStream(opts["seed"]), metric=opts["metric"],
+        share_reference=not opts["redraw_reference"],
     )
-    doc = {
-        "command": "test",
-        "parameters": {
-            "data": args.data,
-            "lambda": args.lam,
-            "metric": args.metric,
-            "order": args.order,
-            "cutoff": args.cutoff,
-            "null": args.null,
-            "alpha": args.alpha,
-            "redraw_reference": args.redraw_reference,
-            "n_patterns": len(data),
-        },
-        "seed": args.seed,
+    parameters = _pick(opts, ["data", "lambda", "metric", "order", "cutoff",
+                              "null", "alpha", "redraw_reference"])
+    parameters["n_patterns"] = len(data)
+    return parameters, opts["seed"], {
         "statistic": result.statistic,
         "null_statistics": list(result.null_statistics),
-        "rank": result.rank,
-        "p_value": result.p_value,
-        "reject": result.reject,
-        "wall_time_s": time.perf_counter() - t0,
+        "rank": result.rank, "p_value": result.p_value, "reject": result.reject,
     }
-    print(dumps_result(doc), end="")
-    return 0
 
 
-def _cmd_power(args):
-    t0 = time.perf_counter()
+def _cmd_power(opts):
     rows = []
-    grid = [(k, c) for c in args.cutoff for k in args.kappa]
+    grid = [(k, c) for c in opts["cutoff"] for k in opts["kappa"]]
     for idx, (kappa, cutoff) in enumerate(grid):
         est = power_study(
-            kappa, n_patterns=args.n_patterns, lam=args.lam, cutoff=cutoff,
-            reps=args.reps, rng=RngStream(args.seed, stream_index=idx),
-            metric=args.metric, n_null=args.null,
-            share_reference=args.share_reference, lam_known=args.known_lambda,
+            kappa, n_patterns=opts["n_patterns"], lam=opts["lambda"],
+            cutoff=cutoff, reps=opts["reps"],
+            rng=RngStream(opts["seed"], stream_index=idx),
+            metric=opts["metric"], n_null=opts["null"],
+            share_reference=opts["share_reference"],
+            lam_known=opts["known_lambda"],
         )
-        rows.append({
-            "kappa": est.kappa,
-            "cutoff": est.cutoff,
-            "power": est.power,
-            "se": est.standard_error,
-        })
-    if args.csv:
-        print("kappa,cutoff,power,se")
-        for row in rows:
-            print(f"{row['kappa']:.17g},{row['cutoff']:.17g},"
-                  f"{row['power']:.17g},{row['se']:.17g}")
-        return 0
-    doc = {
-        "command": "power",
-        "parameters": {
-            "kappa": list(args.kappa),
-            "cutoff": list(args.cutoff),
-            "metric": args.metric,
-            "reps": args.reps,
-            "n_patterns": args.n_patterns,
-            "lambda": args.lam,
-            "null": args.null,
-            "share_reference": args.share_reference,
-            "known_lambda": args.known_lambda,
-        },
-        "seed": args.seed,
-        "rows": rows,
-        "wall_time_s": time.perf_counter() - t0,
+        rows.append({"kappa": est.kappa, "cutoff": est.cutoff,
+                     "power": est.power, "se": est.standard_error})
+    if opts["csv"]:
+        lines = [",".join(rows[0])]
+        lines += [",".join(f"{v:.17g}" for v in row.values()) for row in rows]
+        return "\n".join(lines) + "\n"
+    parameters = _pick(opts, ["kappa", "cutoff", "metric", "reps", "n_patterns",
+                              "lambda", "null", "share_reference", "known_lambda"])
+    return parameters, opts["seed"], {"rows": rows}
+
+
+def _one_value(name, bound):
+    return lambda *args: {"values": {name: bound(*args)}}
+
+
+def _iid_fields(mu, nu, dw):
+    res = bounds_mod.iid_bounds(parse_count_distribution(mu),
+                                parse_count_distribution(nu), dw)
+    return {
+        "values": {"lower": res.lower, "upper": res.upper, "c1": res.c1,
+                   "c2": res.c2, "drw_value": res.drw_value},
+        "coupling": res.coupling.plan,
     }
-    print(dumps_result(doc), end="")
-    return 0
 
 
-def _require(args, names):
-    for name in names:
-        if getattr(args, name) is None:
+# --which -> (options it requires, options echoed under "parameters",
+#             evaluator of the echoed options returning the document's fields)
+_BOUNDS = {
+    "stein1": (["lambda"], ["n", "lambda"],
+               _one_value("stein_factor_delta1", bounds_mod.stein_factor_delta1)),
+    "stein2": (["lambda"], ["n", "lambda"],
+               _one_value("stein_factor_delta2", bounds_mod.stein_factor_delta2)),
+    "bernoulli-poisson": (["n", "p"], ["n", "p"], lambda n, p: {"values": {
+        "bernoulli_binomial": bounds_mod.bernoulli_binomial_bound(n, p),
+        "binomial_poisson": bounds_mod.binomial_poisson_bound(n, p),
+        "bernoulli_poisson": bounds_mod.bernoulli_poisson_bound(n, p),
+    }}),
+    "iid": (["mu", "nu"], ["mu", "nu", "dw"], _iid_fields),
+    "poisson-poisson": (
+        ["mu_total", "nu_total"], ["mu_total", "nu_total", "dw"],
+        _one_value("poisson_poisson", bounds_mod.poisson_poisson_bound)),
+    "counterexample": (["lambda"], ["lambda"], lambda lam: {"values": dict(zip(
+        ["delta1_value", "delta2_value", "stated_lower_bound"],
+        bounds_mod.counterexample_integrals(lam)))}),
+}
+
+
+def _cmd_bounds(opts):
+    which = opts["which"]
+    required, reported, evaluate = _BOUNDS[which]
+    for name in required:
+        if opts[name] is None:
             flag = "--" + name.replace("_", "-")
-            raise ValueError(f"bounds --which {args.which} requires {flag}")
-
-
-def _cmd_bounds(args):
-    t0 = time.perf_counter()
-    params = {"which": args.which}
-    values = {}
-    coupling = None
-    if args.which == "stein1":
-        _require(args, ["lam"])
-        params.update(n=args.n, **{"lambda": args.lam})
-        values["stein_factor_delta1"] = bounds_mod.stein_factor_delta1(
-            args.n, args.lam)
-    elif args.which == "stein2":
-        _require(args, ["lam"])
-        params.update(n=args.n, **{"lambda": args.lam})
-        values["stein_factor_delta2"] = bounds_mod.stein_factor_delta2(
-            args.n, args.lam)
-    elif args.which == "bernoulli-poisson":
-        _require(args, ["n", "p"])
-        params.update(n=args.n, p=args.p)
-        values["bernoulli_binomial"] = bounds_mod.bernoulli_binomial_bound(
-            args.n, args.p)
-        values["binomial_poisson"] = bounds_mod.binomial_poisson_bound(
-            args.n, args.p)
-        values["bernoulli_poisson"] = bounds_mod.bernoulli_poisson_bound(
-            args.n, args.p)
-    elif args.which == "iid":
-        _require(args, ["mu", "nu"])
-        mu = parse_count_distribution(args.mu)
-        nu = parse_count_distribution(args.nu)
-        params.update(mu=args.mu, nu=args.nu, dw=args.dw)
-        res = bounds_mod.iid_bounds(mu, nu, args.dw)
-        values.update(lower=res.lower, upper=res.upper, c1=res.c1, c2=res.c2,
-                      drw_value=res.drw_value)
-        coupling = res.coupling.plan
-    elif args.which == "poisson-poisson":
-        _require(args, ["mu_total", "nu_total"])
-        params.update(mu_total=args.mu_total, nu_total=args.nu_total, dw=args.dw)
-        values["poisson_poisson"] = bounds_mod.poisson_poisson_bound(
-            args.mu_total, args.nu_total, args.dw)
-    elif args.which == "counterexample":
-        _require(args, ["lam"])
-        params.update(**{"lambda": args.lam})
-        d1_val, d2_val, lower = bounds_mod.counterexample_integrals(args.lam)
-        values.update(delta1_value=d1_val, delta2_value=d2_val,
-                      stated_lower_bound=lower)
-    doc = {
-        "command": "bounds",
-        "parameters": params,
-        "seed": None,
-        "values": values,
-        "wall_time_s": time.perf_counter() - t0,
-    }
-    if coupling is not None:
-        doc["coupling"] = coupling
-    print(dumps_result(doc), end="")
-    return 0
+            raise ValueError(f"bounds --which {which} requires {flag}")
+    parameters = _pick(opts, reported)
+    return {"which": which, **parameters}, None, evaluate(*parameters.values())
 
 
 _HANDLERS = {
@@ -358,16 +294,28 @@ _HANDLERS = {
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand. A handler returns either the text to write or
+    ``(parameters, seed, fields)``, from which this function alone builds
+    the result document; ``wall_time_s`` covers the whole handler."""
+    args = build_parser().parse_args(argv)
+    t0 = time.perf_counter()
     try:
-        return _HANDLERS[args.command](args)
+        out = _HANDLERS[args.command](vars(args))
+        if not isinstance(out, str):
+            parameters, seed, fields = out
+            out = dumps_result({
+                "command": args.command, "parameters": parameters, "seed": seed,
+                **fields, "wall_time_s": time.perf_counter() - t0,
+            })
     except (PatternFileError, DimensionMismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except ValueError as exc:
+    except (ValueError, OverflowError, MemoryError) as exc:
+        # inputs too large to represent or to allocate are domain errors too
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
+    sys.stdout.write(out)
+    return 0
 
 
 if __name__ == "__main__":

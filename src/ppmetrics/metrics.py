@@ -60,6 +60,16 @@ class MetricParams:
             raise ValueError(f"cutoff must be > 0, got {self.cutoff}")
 
 
+# largest support the count-distribution constructors build
+_MAX_SUPPORT = 10**6
+
+
+def _check_support_size(size):
+    if size > _MAX_SUPPORT:
+        raise ValueError(f"a count support of {size} points exceeds the "
+                         f"limit of {_MAX_SUPPORT}")
+
+
 @dataclass(frozen=True)
 class CountDistribution:
     """Finitely supported probability distribution on the nonnegative integers."""
@@ -87,7 +97,8 @@ class CountDistribution:
 
     @classmethod
     def binomial(cls, n, p):
-        """Binomial(n, p) counts on the full support 0..n."""
+        """Binomial(n, p) counts on the full support 0..n, at most 10**6 points."""
+        _check_support_size(n + 1)
         ks = np.arange(n + 1)
         pr = binom.pmf(ks, n, p)
         return cls(support=tuple(ks), probs=tuple(pr / pr.sum()))
@@ -97,11 +108,13 @@ class CountDistribution:
         """Poisson(lam) truncated at its ``1 - tail`` quantile, renormalized.
 
         The truncation perturbs any transportation value built on this pmf
-        by at most ``2 * tail``.
+        by at most ``2 * tail``. A support of more than 10**6 points is
+        refused before it is built.
         """
         if lam <= 0:
             raise ValueError(f"lam must be > 0, got {lam}")
         kmax = int(poisson.ppf(1.0 - tail, lam))
+        _check_support_size(kmax + 1)
         ks = np.arange(kmax + 1)
         pr = poisson.pmf(ks, lam)
         return cls(support=tuple(ks), probs=tuple(pr / pr.sum()))
@@ -123,6 +136,11 @@ def _as_pair(xi, eta, cutoff):
             stacklevel=3,
         )
     return xi, eta
+
+
+def _check_metric(metric):
+    if metric not in ("dbar1", "d1"):
+        raise ValueError(f"unknown pattern metric {metric!r}")
 
 
 def _pair_matching(a, b, p, c, spec, metric="dbar1"):
@@ -197,6 +215,7 @@ def matching_details(xi, eta, params=MetricParams(), spec=None, metric="dbar1"):
     ``eta``. For ``metric="d1"`` with differing cardinalities there is no
     pairing and the list is empty.
     """
+    _check_metric(metric)
     xi, eta = _as_pair(xi, eta, params.cutoff)
     value, xi_idx, eta_idx = _pair_matching(
         xi, eta, params.order, params.cutoff, spec, metric)
@@ -237,8 +256,7 @@ def dRW(mu, nu):
 
 
 def _as_collections(ps, qs, metric):
-    if metric not in ("dbar1", "d1"):
-        raise ValueError(f"unknown pattern metric {metric!r}")
+    _check_metric(metric)
     ps, qs = [as_pattern(a) for a in ps], [as_pattern(b) for b in qs]
     if not (ps and qs):
         raise ValueError("a pattern collection must contain at least one pattern")

@@ -302,15 +302,7 @@ def sample_iid_process(counts, location_sampler, rng=RngStream(0)):
         raise ValueError("counts must be a CountDistribution")
     gen = rng.generator()
     count = int(gen.choice(np.asarray(counts.support), p=np.asarray(counts.probs)))
-    return as_pattern(location_sampler(count, gen)) if count else _empty_like(
-        location_sampler
-    )
-
-
-def _empty_like(location_sampler):
-    # probe the sampler's dimension with a throwaway generator
-    probe = np.asarray(location_sampler(1, np.random.default_rng(0)))
-    return np.empty((0, probe.shape[1]))
+    return as_pattern(location_sampler(count, gen))
 
 
 def sample_collection(n_patterns, sampler, rng):

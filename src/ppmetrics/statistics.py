@@ -192,11 +192,11 @@ def _check_size(n_null, alpha):
     if not 0 < alpha < 1:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     x = alpha * (n_null + 1)
-    if abs(x - round(x)) > 1e-9:
-        size = _rejection_threshold(alpha, n_null) / (n_null + 1)
+    threshold = _rejection_threshold(alpha, n_null)
+    if abs(x - threshold) > 1e-9:
         warnings.warn(
             f"alpha * (n_null + 1) = {x:g} is not an integer, so the test's "
-            f"size is {size:g}, below alpha = {alpha:g}",
+            f"size is {threshold / (n_null + 1):g}, below alpha = {alpha:g}",
             UserWarning, stacklevel=3,
         )
 

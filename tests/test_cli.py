@@ -274,3 +274,83 @@ def test_exit_code_data_error_non_finite_coordinate(capsys, tmp_path, token):
     assert main(["test", str(data), "--null", "9", "--seed", "0"]) == 3
     err = capsys.readouterr().err
     assert "line 2" in err and "non-finite" in err
+
+
+ENVELOPE = {"command", "parameters", "seed", "wall_time_s"}
+BOUNDS_DOC = {"values"}
+
+
+@pytest.mark.parametrize("argv, fields, parameters, values", [
+    (["dist", FIG1_A, FIG1_B], {"value"},
+     {"file_a", "file_b", "metric", "order", "cutoff"}, None),
+    (["dist", FIG1_A, FIG1_B, "--show-assignment"], {"value", "assignment"},
+     {"file_a", "file_b", "metric", "order", "cutoff"}, None),
+    (["test", "{data}", "--null", "19", "--seed", "1"],
+     {"statistic", "null_statistics", "rank", "p_value", "reject"},
+     {"data", "lambda", "metric", "order", "cutoff", "null", "alpha",
+      "redraw_reference", "n_patterns"}, None),
+    (["power", "--kappa", "2", "--reps", "1", "--n-patterns", "3", "--lambda",
+      "5", "--null", "19"], {"rows"},
+     {"kappa", "cutoff", "metric", "reps", "n_patterns", "lambda", "null",
+      "share_reference", "known_lambda"}, None),
+    (["bounds", "--which", "stein1", "--n", "10", "--lambda", "4"], BOUNDS_DOC,
+     {"which", "n", "lambda"}, {"stein_factor_delta1"}),
+    (["bounds", "--which", "stein2", "--lambda", "4"], BOUNDS_DOC,
+     {"which", "n", "lambda"}, {"stein_factor_delta2"}),
+    (["bounds", "--which", "bernoulli-poisson", "--n", "50", "--p", "0.1"],
+     BOUNDS_DOC, {"which", "n", "p"},
+     {"bernoulli_binomial", "binomial_poisson", "bernoulli_poisson"}),
+    (["bounds", "--which", "iid", "--mu", "poisson:2", "--nu", "delta:1"],
+     BOUNDS_DOC | {"coupling"}, {"which", "mu", "nu", "dw"},
+     {"lower", "upper", "c1", "c2", "drw_value"}),
+    (["bounds", "--which", "poisson-poisson", "--mu-total", "5",
+      "--nu-total", "6"], BOUNDS_DOC, {"which", "mu_total", "nu_total", "dw"},
+     {"poisson_poisson"}),
+    (["bounds", "--which", "counterexample", "--lambda", "50"], BOUNDS_DOC,
+     {"which", "lambda"}, {"delta1_value", "delta2_value", "stated_lower_bound"}),
+], ids=["dist", "dist-assignment", "test", "power", "stein1", "stein2",
+        "bernoulli-poisson", "iid", "poisson-poisson", "counterexample"])
+def test_document_shapes(capsys, tmp_path, argv, fields, parameters, values):
+    data = tmp_path / "data.txt"
+    write_patterns(data, [np.random.default_rng(2).random((4, 2))
+                          for _ in range(3)])
+    doc = run_json(capsys, *[arg.format(data=data) for arg in argv])
+    assert doc["command"] == argv[0]
+    assert set(doc) == ENVELOPE | fields
+    assert set(doc["parameters"]) == parameters
+    if values is not None:
+        assert set(doc["values"]) == values
+
+
+@pytest.mark.parametrize("which, flag", [
+    ("stein1", "--lambda"), ("stein2", "--lambda"),
+    ("counterexample", "--lambda"), ("bernoulli-poisson", "--n"),
+    ("iid", "--mu"), ("poisson-poisson", "--mu-total"),
+])
+def test_bounds_names_the_missing_flag(capsys, which, flag):
+    assert main(["bounds", "--which", which]) == 4
+    assert capsys.readouterr().err == f"error: bounds --which {which} requires {flag}\n"
+
+
+def test_oversized_binomial_trial_count_exits_4(capsys):
+    code = main(["simulate", "--model", "binomial",
+                 "--n", "100000000000000000000"])
+    out, err = capsys.readouterr()
+    assert code == 4 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_allocation_failure_exits_4(capsys, monkeypatch):
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 745. GiB")
+
+    monkeypatch.setattr("ppmetrics.cli.sample_bernoulli_process", no_memory)
+    assert main(["simulate", "--model", "bernoulli", "--n", "100"]) == 4
+    assert capsys.readouterr().err == "error: Unable to allocate 745. GiB\n"
+
+
+def test_oversized_count_support_exits_4(capsys):
+    code = main(["bounds", "--which", "iid", "--mu", "poisson:1e9",
+                 "--nu", "delta:1"])
+    assert code == 4
+    assert "exceeds the limit of 1000000" in capsys.readouterr().err

@@ -107,3 +107,21 @@ def test_collection_prologue_errors():
 def test_kernel_spec_rejects_a_cap_that_is_not_finite_and_positive(cap):
     with pytest.raises(ValueError, match="cap must be a finite positive real"):
         KernelSpec("half_interpoint", 2, cap)
+
+
+def test_matching_details_rejects_an_unknown_metric():
+    a, b = np.zeros((1, 2)), np.ones((2, 2))
+    with pytest.raises(ValueError, match="unknown pattern metric 'dbar3'"):
+        matching_details(a, b, metric="dbar3")
+
+
+@pytest.mark.parametrize("make, size", [
+    (lambda: CountDistribution.binomial(10**9, 0.5), 10**9 + 1),
+    (lambda: CountDistribution.poisson_truncated(1e9), None),
+    (lambda: CountDistribution.binomial(10**6, 0.5), 10**6 + 1),
+], ids=["binomial-1e9", "poisson-1e9", "binomial-1e6"])
+def test_count_support_is_sized_before_it_is_built(make, size):
+    with pytest.raises(ValueError, match="exceeds the limit of 1000000") as info:
+        make()
+    if size is not None:
+        assert f"support of {size} points" in str(info.value)
