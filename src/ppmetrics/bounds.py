@@ -22,6 +22,7 @@ from scipy.integrate import quad
 from scipy.special import exp1
 
 from .assignment import TransportPlan
+from .errors import check_count, check_real
 from .metrics import CountDistribution, dRW
 
 __all__ = [
@@ -40,11 +41,8 @@ EULER_GAMMA = float(np.euler_gamma)
 
 
 def _check_n_lambda(n, lam):
-    if lam <= 0 or not math.isfinite(lam):
-        raise ValueError(f"lambda must be a finite positive real, got {lam}")
-    if n is not None and n < 0:
-        raise ValueError(f"n must be >= 0 (or None for unbounded), got {n}")
-    return lam if n is None else min(float(n), lam)
+    lam = check_real("lam", lam, above=0)
+    return lam if n is None else min(float(check_count("n", n)), lam)
 
 
 def stein_factor_delta1(n, lam):
@@ -87,19 +85,15 @@ def bernoulli_binomial_bound(n, p):
     The smaller of ``1/(2n) + p/2`` and ``1/sqrt(3 n p)`` for ``n`` grid
     sites and success probability ``p``.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"p must lie in (0, 1), got {p}")
+    n = check_count("n", n, at_least=1)
+    p = check_real("p", p, above=0, below=1)
     return min(1.0 / (2 * n) + p / 2.0, 1.0 / math.sqrt(3.0 * n * p))
 
 
 def binomial_poisson_bound(n, p):
     """Distance bound between the binomial process and Poisson(n p Leb)."""
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"p must lie in (0, 1), got {p}")
+    n = check_count("n", n, at_least=2)
+    p = check_real("p", p, above=0, below=1)
     num = (0.95 + max(math.log(n * p), 0.0)) * p
     return num / max(0.5, math.sqrt((n - 1) * p * (1 - p)))
 
@@ -135,8 +129,7 @@ def iid_bounds(mu, nu, dw_locations):
     """
     if not isinstance(mu, CountDistribution) or not isinstance(nu, CountDistribution):
         raise ValueError("iid_bounds expects CountDistribution inputs")
-    if dw_locations < 0 or not math.isfinite(dw_locations):
-        raise ValueError(f"dw_locations must be >= 0, got {dw_locations}")
+    dw_locations = check_real("dw_locations", dw_locations, at_least=0)
     drw_value, coupling = dRW(mu, nu)
     c1 = max(mu.prob_positive(), nu.prob_positive())
     ms = np.asarray(mu.support, dtype=float)
@@ -160,12 +153,9 @@ def poisson_poisson_bound(mu_total, nu_total, dw_normalized):
     ``|mu - nu| / (mu v nu) + (1 - exp(-(mu ^ nu))) * dW`` where ``dW`` is
     the Wasserstein distance between the normalized intensity measures.
     """
-    if mu_total <= 0 or nu_total <= 0:
-        raise ValueError(
-            f"totals must be > 0, got ({mu_total}, {nu_total})"
-        )
-    if dw_normalized < 0:
-        raise ValueError(f"dW must be >= 0, got {dw_normalized}")
+    mu_total = check_real("mu_total", mu_total, above=0)
+    nu_total = check_real("nu_total", nu_total, above=0)
+    dw_normalized = check_real("dw_normalized", dw_normalized, at_least=0)
     count_term = abs(mu_total - nu_total) / max(mu_total, nu_total)
     return count_term + -math.expm1(-min(mu_total, nu_total)) * dw_normalized
 
@@ -191,9 +181,7 @@ def counterexample_integrals(lam):
     evaluated through the exponential-integral identity
     ``int_0^x (1-exp(-u))/u du = euler_gamma + ln x + E1(x)``.
     """
-    if lam <= 1:
-        raise ValueError(f"lambda must be > 1, got {lam}")
-    a = lam - 1.0
+    a = check_real("lam", lam, above=1) - 1.0
     d1_val, _ = quad(lambda s: _ratio_integrand(a, s) * math.exp(-s), 0.0, 1.0,
                      epsabs=1e-10, epsrel=1e-12)
     d2_val, _ = quad(lambda s: (1.0 - s) * _ratio_integrand(a, s) * math.exp(-s),

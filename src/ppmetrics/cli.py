@@ -17,7 +17,7 @@ import sys
 import time
 
 from . import bounds as bounds_mod
-from .errors import DimensionMismatchError, PatternFileError
+from .errors import DimensionMismatchError, PatternFileError, check_count
 from .fileio import dumps_result, format_patterns, read_patterns, \
     read_single_pattern
 from .metrics import CountDistribution, MetricParams, matching_details
@@ -169,8 +169,7 @@ def _cmd_dist(opts):
 
 def _cmd_simulate(opts):
     rng = RngStream(opts["seed"])
-    if opts["n_patterns"] < 1:
-        raise ValueError(f"--n-patterns must be >= 1, got {opts['n_patterns']}")
+    check_count("--n-patterns", opts["n_patterns"], at_least=1)
     lam, kappa, n, p = opts["lambda"], opts["kappa"], opts["n"], opts["p"]
     samplers = {
         "poisson": lambda s: sample_poisson_homogeneous(lam, UNIT_SQUARE, s),

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, check_count, check_real
 
 __all__ = [
     "GroundMetricSpec",
@@ -45,10 +45,8 @@ class GroundMetricSpec:
     theory_mode: bool = True
 
     def __post_init__(self):
-        if not np.isfinite(self.cap) or self.cap <= 0:
-            raise ValueError(f"cap must be a finite positive real, got {self.cap}")
-        if self.dimension < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.dimension}")
+        check_real("cap", self.cap, above=0)
+        check_count("dimension", self.dimension, at_least=1)
         if self.theory_mode and self.cap > 1:
             raise ValueError(
                 "theory mode requires cap <= 1; construct with theory_mode=False "
@@ -275,8 +273,7 @@ def subset_enclosing_diameters(points, size):
         raise ValueError(
             f"subset_enclosing_diameters supports dimension 2 only, got {pts.shape[1]}"
         )
-    if size < 2:
-        raise ValueError(f"subset size must be >= 2, got {size}")
+    size = check_count("size", size, at_least=2)
     scale = _rescale_exponent(pts)
     if scale:
         return np.ldexp(subset_enclosing_diameters(np.ldexp(pts, -scale), size), scale)
@@ -311,7 +308,7 @@ def subset_enclosing_diameters(points, size):
 
 def capped_ball_diameter(ball, cap=1.0):
     """Diameter of a ball under the capped metric: ``min(2 * radius, cap)``."""
-    return min(2.0 * ball.radius, cap)
+    return min(2.0 * ball.radius, check_real("cap", cap, above=0))
 
 
 def nn_distances(pattern, spec=GroundMetricSpec()):

@@ -17,6 +17,7 @@ pattern-level assignment problem; ``dRW`` is the analogous lift of the
 relative count difference ``dR`` to count distributions.
 """
 
+import contextvars
 import math
 import warnings
 from dataclasses import dataclass
@@ -27,6 +28,7 @@ from scipy.stats import binom, poisson
 
 from .assignment import _check_transport_side, _check_weights, \
     min_cost_matching, solve_transportation
+from .errors import check_count, check_real
 from .geometry import GroundMetricSpec, as_pattern, common_dimension, \
     pairwise_ground_distances
 
@@ -54,20 +56,18 @@ class MetricParams:
     cutoff: float = 1.0
 
     def __post_init__(self):
-        if not np.isfinite(self.order) or self.order < 1:
-            raise ValueError(f"order must be >= 1, got {self.order}")
-        if not np.isfinite(self.cutoff) or self.cutoff <= 0:
-            raise ValueError(f"cutoff must be > 0, got {self.cutoff}")
+        check_real("order", self.order, at_least=1)
+        check_real("cutoff", self.cutoff, above=0)
 
 
 # largest support the count-distribution constructors build
 _MAX_SUPPORT = 10**6
 
 
-def _check_support_size(size):
-    if size > _MAX_SUPPORT:
-        raise ValueError(f"a count support of {size} points exceeds the "
-                         f"limit of {_MAX_SUPPORT}")
+def _check_support_size(size, support):
+    # "not <=" refuses a NaN size too
+    if not size <= _MAX_SUPPORT:
+        raise ValueError(f"{support} exceeds the limit of {_MAX_SUPPORT} points")
 
 
 @dataclass(frozen=True)
@@ -93,12 +93,13 @@ class CountDistribution:
     @classmethod
     def delta(cls, k):
         """Point mass at the count ``k``."""
-        return cls(support=(int(k),), probs=(1.0,))
+        return cls(support=(check_count("k", k),), probs=(1.0,))
 
     @classmethod
     def binomial(cls, n, p):
         """Binomial(n, p) counts on the full support 0..n, at most 10**6 points."""
-        _check_support_size(n + 1)
+        n = check_count("n", n)
+        _check_support_size(n + 1, f"a count support of {n + 1} points")
         ks = np.arange(n + 1)
         pr = binom.pmf(ks, n, p)
         return cls(support=tuple(ks), probs=tuple(pr / pr.sum()))
@@ -111,11 +112,11 @@ class CountDistribution:
         by at most ``2 * tail``. A support of more than 10**6 points is
         refused before it is built.
         """
-        if lam <= 0:
-            raise ValueError(f"lam must be > 0, got {lam}")
-        kmax = int(poisson.ppf(1.0 - tail, lam))
-        _check_support_size(kmax + 1)
-        ks = np.arange(kmax + 1)
+        lam = check_real("lam", lam, above=0)
+        kmax = poisson.ppf(1.0 - check_real("tail", tail, above=0, below=1), lam)
+        _check_support_size(kmax + 1, f"the count support of Poisson(lam={lam}) "
+                                      f"up to its 1 - {tail} quantile")
+        ks = np.arange(int(kmax) + 1)
         pr = poisson.pmf(ks, lam)
         return cls(support=tuple(ks), probs=tuple(pr / pr.sum()))
 
@@ -124,17 +125,33 @@ class CountDistribution:
         return math.fsum(p for k, p in zip(self.support, self.probs) if k > 0)
 
 
+# True while a public call that has checked its cutoff runs nested public calls
+_CUTOFF_CHECKED = contextvars.ContextVar("cutoff_checked", default=False)
+
+
+def _warn_cutoff(cutoff, stacklevel=3):
+    """Warn at the public caller's line when ``cutoff > 1``, unless nested."""
+    if cutoff > 1 and not _CUTOFF_CHECKED.get():
+        warnings.warn(
+            f"cutoff {cutoff} > 1: distances are bounded by the cutoff, "
+            "not by 1, and the theory-mode guarantees do not apply",
+            stacklevel=stacklevel,
+        )
+
+
+def _cutoff_checked(fn, *args, **kwargs):
+    """``fn(*args, **kwargs)``, whose public calls do not warn about the cutoff."""
+    context = contextvars.copy_context()
+    context.run(_CUTOFF_CHECKED.set, True)
+    return context.run(fn, *args, **kwargs)
+
+
 def _as_pair(xi, eta, cutoff):
     """Two validated patterns of a common dimension; warns, at the public
     caller's line, when ``cutoff > 1``."""
     xi, eta = as_pattern(xi), as_pattern(eta)
     common_dimension(xi, eta)
-    if cutoff > 1:
-        warnings.warn(
-            f"cutoff {cutoff} > 1: distances are bounded by the cutoff, "
-            "not by 1, and the theory-mode guarantees do not apply",
-            stacklevel=3,
-        )
+    _warn_cutoff(cutoff, stacklevel=4)
     return xi, eta
 
 
@@ -229,9 +246,7 @@ def matching_details(xi, eta, params=MetricParams(), spec=None, metric="dbar1"):
 
 def dR(m, n):
     """Relative count difference ``|m - n| / max(m, n)``; ``dR(0, 0) = 0``."""
-    m, n = int(m), int(n)
-    if m < 0 or n < 0:
-        raise ValueError(f"counts must be nonnegative, got ({m}, {n})")
+    m, n = check_count("m", m), check_count("n", n)
     if max(m, n) == 0:
         return 0.0
     return abs(m - n) / max(m, n)
@@ -267,6 +282,7 @@ def _as_collections(ps, qs, metric):
 def pattern_distance_matrix(ps, qs, params=MetricParams(), spec=None, metric="dbar1"):
     """Matrix of pairwise pattern distances between two collections."""
     ps, qs = _as_collections(ps, qs, metric)
+    _warn_cutoff(params.cutoff)
     p, c = params.order, params.cutoff
     out = np.empty((len(ps), len(qs)))
     for i, a in enumerate(ps):
@@ -291,7 +307,8 @@ def dbar2_empirical(ps, qs, params=MetricParams(), spec=None, metric="dbar1"):
     are rejected; use :func:`dbar2_transport` for that case.
     """
     _check_equal_sizes(ps, qs)
-    dmat = pattern_distance_matrix(ps, qs, params, spec, metric)
+    _warn_cutoff(params.cutoff)
+    dmat = _cutoff_checked(pattern_distance_matrix, ps, qs, params, spec, metric)
     total, _, _ = min_cost_matching(dmat, 0.0)
     return total / len(ps)
 
@@ -408,7 +425,8 @@ def dbar2_transport(ps, qs, params=MetricParams(), spec=None, metric="dbar1"):
     ``MAX_TRANSPORT_SIDE`` patterns is refused before any pair is solved.
     """
     _check_transport_side(len(ps), len(qs))
-    dmat = pattern_distance_matrix(ps, qs, params, spec, metric)
+    _warn_cutoff(params.cutoff)
+    dmat = _cutoff_checked(pattern_distance_matrix, ps, qs, params, spec, metric)
     n, m = dmat.shape
     plan = solve_transportation(np.full(n, 1.0 / n), np.full(m, 1.0 / m), dmat)
     return plan.total_cost

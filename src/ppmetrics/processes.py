@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
+from .errors import check_count, check_real
 from .geometry import as_pattern
 from .metrics import CountDistribution
 
@@ -242,8 +243,7 @@ def uniform_sampler(window=UNIT_SQUARE):
 
 def sample_poisson_homogeneous(lambda_total, window=UNIT_SQUARE, rng=RngStream(0)):
     """Homogeneous Poisson process: Poisson(lambda_total) count, uniform points."""
-    if lambda_total <= 0:
-        raise ValueError(f"lambda_total must be > 0, got {lambda_total}")
+    lambda_total = check_real("lambda_total", lambda_total, above=0)
     gen = rng.generator()
     n = int(gen.poisson(lambda_total))
     return window.sample_uniform(n, gen)
@@ -256,10 +256,8 @@ def sample_poisson_fkappa(lambda_total, kappa, rng=RngStream(0)):
     ``kappa * exp(-kappa x) / (1 - exp(-kappa))`` on [0, 1] (sampled by
     inverse CDF, stable for small kappa), the y-coordinates are uniform.
     """
-    if lambda_total <= 0 or kappa <= 0:
-        raise ValueError(
-            f"lambda_total and kappa must be > 0, got ({lambda_total}, {kappa})"
-        )
+    lambda_total = check_real("lambda_total", lambda_total, above=0)
+    kappa = check_real("kappa", kappa, above=0)
     gen = rng.generator()
     n = int(gen.poisson(lambda_total))
     u = gen.random(n)
@@ -271,10 +269,8 @@ def sample_poisson_fkappa(lambda_total, kappa, rng=RngStream(0)):
 
 def sample_bernoulli_process(n, p, rng=RngStream(0)):
     """Independent coin flips on the grid {1/n, 2/n, ..., 1} (1-d pattern)."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
+    n = check_count("n", n, at_least=1)
+    p = check_real("p", p, at_least=0, at_most=1)
     gen = rng.generator()
     keep = gen.random(n) < p
     grid = np.arange(1, n + 1, dtype=float) / n
@@ -283,10 +279,8 @@ def sample_bernoulli_process(n, p, rng=RngStream(0)):
 
 def sample_binomial_process(n, p, rng=RngStream(0)):
     """Binomial(n, p) count with i.i.d. uniform locations on [0, 1] (1-d)."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
+    n = check_count("n", n, at_least=1)
+    p = check_real("p", p, at_least=0, at_most=1)
     gen = rng.generator()
     count = int(gen.binomial(n, p))
     return gen.random((count, 1))
@@ -307,7 +301,8 @@ def sample_iid_process(counts, location_sampler, rng=RngStream(0)):
 
 def sample_collection(n_patterns, sampler, rng):
     """Draw ``n_patterns`` independent patterns, one substream each."""
-    return [sampler(rng.substream(i)) for i in range(n_patterns)]
+    return [sampler(rng.substream(i))
+            for i in range(check_count("n_patterns", n_patterns))]
 
 
 def evolve_immigration_death(initial, lambda_total, window=UNIT_SQUARE, t=0.0,
@@ -319,13 +314,11 @@ def evolve_immigration_death(initial, lambda_total, window=UNIT_SQUARE, t=0.0,
     decomposes into independent thinning of the initial pattern with
     retention ``exp(-t)`` plus a fresh Poisson pattern with mean count
     ``lambda_total * (1 - exp(-t))``. No event-by-event simulation is run;
-    the marginal law is exact. The stationary law (``t -> inf``) is the
-    Poisson process with total intensity ``lambda_total``.
+    the marginal law is exact. ``t`` must be finite; the stationary law
+    (``t -> inf``) is the Poisson process with intensity ``lambda_total``.
     """
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    if lambda_total <= 0:
-        raise ValueError(f"lambda_total must be > 0, got {lambda_total}")
+    t = check_real("t", t, at_least=0)
+    lambda_total = check_real("lambda_total", lambda_total, above=0)
     pts = as_pattern(initial, dim=window.dimension)
     gen = rng.generator()
     if t == 0:

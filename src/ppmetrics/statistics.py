@@ -19,13 +19,15 @@ from functools import partial
 import numpy as np
 from scipy.spatial.distance import pdist
 
+from .errors import check_count, check_real
 from .geometry import (
     GroundMetricSpec,
     as_pattern,
     nn_distances,
     subset_enclosing_diameters,
 )
-from .metrics import MetricParams, _dbar2_compare, dbar1_pc, dbar2_empirical
+from .metrics import MetricParams, _cutoff_checked, _dbar2_compare, \
+    _warn_cutoff, dbar1_pc, dbar2_empirical
 from .processes import UNIT_SQUARE, RngStream, sample_collection, \
     sample_poisson_fkappa, sample_poisson_homogeneous
 
@@ -65,12 +67,10 @@ class KernelSpec:
     def __post_init__(self):
         if self.kind not in KERNEL_KINDS:
             raise ValueError(f"kernel kind must be one of {KERNEL_KINDS}")
-        if self.arity < 2:
-            raise ValueError(f"arity must be >= 2, got {self.arity}")
+        check_count("arity", self.arity, at_least=2)
         if self.kind == "half_interpoint" and self.arity != 2:
             raise ValueError("half_interpoint is a 2-ary kernel")
-        if not np.isfinite(self.cap) or self.cap <= 0:
-            raise ValueError(f"cap must be a finite positive real, got {self.cap}")
+        check_real("cap", self.cap, above=0)
 
 
 def ustat(pattern, kernel, anchor):
@@ -121,14 +121,13 @@ def avg_nn_statistic(pattern, alpha0=1.0, alpha1=1.0, spec=GroundMetricSpec()):
     Patterns with 0 or 1 points return ``alpha0`` or ``alpha1``; any values
     in [0, 1] keep the extension Lipschitz.
     """
-    for name, a in (("alpha0", alpha0), ("alpha1", alpha1)):
-        if not 0.0 <= a <= 1.0:
-            raise ValueError(f"{name} must lie in [0, 1], got {a}")
+    alpha0 = check_real("alpha0", alpha0, at_least=0, at_most=1)
+    alpha1 = check_real("alpha1", alpha1, at_least=0, at_most=1)
     pts = as_pattern(pattern)
     if len(pts) == 0:
-        return float(alpha0)
+        return alpha0
     if len(pts) == 1:
-        return float(alpha1)
+        return alpha1
     return float(np.mean(nn_distances(pts, spec)))
 
 
@@ -185,12 +184,10 @@ def _rejection_threshold(alpha, n_null):
 
 
 def _check_size(n_null, alpha):
-    """Reject ``n_null < 1`` or ``alpha`` outside (0, 1); warn when the
-    test's size falls below ``alpha``."""
-    if n_null < 1:
-        raise ValueError(f"n_null must be >= 1, got {n_null}")
-    if not 0 < alpha < 1:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    """Reject ``n_null`` other than a whole number >= 1, or ``alpha`` outside
+    (0, 1); warn when the test's size falls below ``alpha``."""
+    n_null = check_count("n_null", n_null, at_least=1)
+    alpha = check_real("alpha", alpha, above=0, below=1)
     x = alpha * (n_null + 1)
     threshold = _rejection_threshold(alpha, n_null)
     if abs(x - threshold) > 1e-9:
@@ -217,8 +214,7 @@ def _monte_carlo(data, lam, params, n_null, alpha, rng, metric,
     n_patterns = len(data)
     if lam is None:
         lam = sum(len(p) for p in data) / n_patterns
-    if lam <= 0:
-        raise ValueError(f"lambda must be > 0, got {lam}")
+    lam = check_real("lam", lam, above=0)
 
     def poisson(stream):
         return sample_poisson_homogeneous(lam, window, stream)
@@ -286,9 +282,10 @@ def homogeneity_test(data, lam=None, params=MetricParams(), n_null=99,
     the same result as with ``early_stop=False``.
     """
     _check_size(n_null, alpha)
-    observed, nulls, rank, threshold = _monte_carlo(
-        data, lam, params, n_null, alpha, rng, metric, share_reference,
-        window, early_stop, settle=False)
+    _warn_cutoff(params.cutoff)
+    observed, nulls, rank, threshold = _cutoff_checked(
+        _monte_carlo, data, lam, params, n_null, alpha, rng, metric,
+        share_reference, window, early_stop, settle=False)
     return TestResult(
         statistic=float(observed),
         null_statistics=tuple(float(v) for v in nulls),
@@ -305,8 +302,7 @@ def worker_count():
         n = int(raw)
     except ValueError:
         raise ValueError(f"PPMETRICS_THREADS must be an integer, got {raw!r}")
-    if n < 0:
-        raise ValueError(f"PPMETRICS_THREADS must be >= 0, got {n}")
+    n = check_count("PPMETRICS_THREADS", n)
     return n if n > 0 else (os.cpu_count() or 1)
 
 
@@ -316,8 +312,8 @@ def _power_replicate(rep, kappa, n_patterns, lam, params, n_null, alpha,
     data = sample_collection(n_patterns,
                              lambda s: sample_poisson_fkappa(lam, kappa, s),
                              stream.substream(0))
-    _, _, rank, threshold = _monte_carlo(
-        data, lam if lam_known else None, params, n_null, alpha,
+    _, _, rank, threshold = _cutoff_checked(
+        _monte_carlo, data, lam if lam_known else None, params, n_null, alpha,
         stream.substream(1), metric, share_reference, UNIT_SQUARE,
         early_stop=True, settle=True)
     return rank <= threshold
@@ -352,15 +348,16 @@ def power_study(kappa, n_patterns=12, lam=30.0, cutoff=1.0, reps=100,
     disjoint substreams and are evaluated in parallel processes (limited
     by PPMETRICS_THREADS) unless ``parallel=False``.
     """
-    if reps < 1:
-        raise ValueError(f"reps must be >= 1, got {reps}")
-    if kappa <= 0:
-        raise ValueError(f"kappa must be > 0, got {kappa}")
+    reps = check_count("reps", reps, at_least=1)
+    kappa = check_real("kappa", kappa, above=0)
+    n_patterns = check_count("n_patterns", n_patterns, at_least=2)
+    lam = check_real("lam", lam, above=0)
     _check_size(n_null, alpha)
     job = partial(_power_replicate, kappa=kappa, n_patterns=n_patterns,
                   lam=lam, params=MetricParams(order, cutoff), n_null=n_null,
                   alpha=alpha, metric=metric, share_reference=share_reference,
                   lam_known=lam_known, rng=rng)
+    _warn_cutoff(cutoff)
     workers = min(worker_count(), reps) if parallel else 1
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -370,5 +367,5 @@ def power_study(kappa, n_patterns=12, lam=30.0, cutoff=1.0, reps=100,
         rejects = [job(rep) for rep in range(reps)]
     power = sum(rejects) / reps
     se = math.sqrt(power * (1.0 - power) / reps)
-    return PowerEstimate(kappa=float(kappa), cutoff=float(cutoff), reps=reps,
+    return PowerEstimate(kappa=kappa, cutoff=float(cutoff), reps=reps,
                          power=power, standard_error=se)
