@@ -84,7 +84,7 @@ class CountDistribution:
             raise ValueError("support and probs must be matching nonempty vectors")
         if not np.array_equal(sup, sup.astype(int)) or (sup < 0).any():
             raise ValueError("support must consist of nonnegative integers")
-        if len(np.unique(sup)) != sup.size or (np.diff(sup) <= 0).any():
+        if (np.diff(sup) <= 0).any():
             raise ValueError("support must be strictly ascending and distinct")
         _check_weights(pr, "probabilities")
         object.__setattr__(self, "support", tuple(int(k) for k in sup))

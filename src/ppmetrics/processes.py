@@ -7,7 +7,6 @@ independent draws. Monte Carlo drivers allocate one substream per
 replicate, so runs parallelize deterministically.
 """
 
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,10 +45,7 @@ _XSHIFT = 16
 
 
 def _words(value):
-    """Little-endian 32-bit words of a non-negative integer, as numpy splits it."""
-    value = operator.index(value)
-    if value < 0:
-        raise ValueError(f"expected non-negative integer, got {value}")
+    """Little-endian 32-bit words of a non-negative int, as numpy splits it."""
     words = [value & _MASK32]
     value >>= 32
     while value:
@@ -144,6 +140,8 @@ class RngStream:
     *path)))`` bit for bit. The mixed ``SeedSequence`` pool of the stream's
     own key is kept with it and handed down, so a substream folds in only
     its own key word instead of hashing the seed and the whole key again.
+    ``seed``, ``stream_index`` and every path key, so every ``substream(k)``,
+    must be an integer >= 0; any other value is refused by name.
     """
 
     seed: int
@@ -152,10 +150,21 @@ class RngStream:
     # (pool, hash constant) after the seed and the key; derived on first use
     _pool: tuple = field(default=None, init=False, compare=False, repr=False)
 
+    def __post_init__(self):
+        object.__setattr__(self, "seed", check_count("seed", self.seed))
+        object.__setattr__(self, "stream_index",
+                           check_count("stream_index", self.stream_index))
+        object.__setattr__(self, "path",
+                           tuple(check_count("path key", k) for k in self.path))
+
     def substream(self, k):
-        k = int(k)
-        child = RngStream(self.seed, self.stream_index, self.path + (k,))
-        object.__setattr__(child, "_pool", _fold(*self._mixed_pool(), _words(k)))
+        k = check_count("substream key", k)
+        # the parent's fields are checked already, so the child's are set
+        # directly rather than through __init__, which checks every path key
+        child = object.__new__(RngStream)
+        child.__dict__.update(seed=self.seed, stream_index=self.stream_index,
+                              path=self.path + (k,),
+                              _pool=_fold(*self._mixed_pool(), _words(k)))
         return child
 
     def generator(self):
@@ -164,8 +173,8 @@ class RngStream:
 
     def _mixed_pool(self):
         if self._pool is None:
-            pool, hash_const = _seed_pool(int(self.seed))
-            key = [int(self.stream_index), *self.path]
+            pool, hash_const = _seed_pool(self.seed)
+            key = [self.stream_index, *self.path]
             words = [w for k in key for w in _words(k)]
             object.__setattr__(self, "_pool", _fold(pool, hash_const, words))
         return self._pool

@@ -135,18 +135,16 @@ def lipschitz_ratio(statistic, pairs, params=MetricParams(), spec=None):
     """Worst observed |F(xi) - F(eta)| / dbar1(xi, eta) over pattern pairs.
 
     Pairs at pattern distance zero are excluded; raises if nothing remains.
+    A cutoff above 1 warns once, at the caller's line.
     """
-    best = None
-    for a, b in pairs:
-        d = dbar1_pc(a, b, params, spec)
-        if d == 0.0:
-            continue
-        ratio = abs(statistic(a) - statistic(b)) / d
-        if best is None or ratio > best:
-            best = ratio
-    if best is None:
+    pairs = list(pairs)
+    _warn_cutoff(params.cutoff)
+    dists = _cutoff_checked(lambda: [dbar1_pc(a, b, params, spec) for a, b in pairs])
+    ratios = [abs(statistic(a) - statistic(b)) / d
+              for (a, b), d in zip(pairs, dists) if d != 0.0]
+    if not ratios:
         raise ValueError("no pair with positive pattern distance was supplied")
-    return best
+    return max(ratios)
 
 
 @dataclass(frozen=True)

@@ -207,3 +207,50 @@ def test_the_null_loop_still_calls_the_public_collection_functions(monkeypatch):
 def test_a_numeric_string_is_not_a_real():
     with pytest.raises(ValueError, match="^lambda_total must be a finite positive real"):
         processes.sample_poisson_homogeneous("30")
+
+
+def test_lipschitz_ratio_warns_once_at_the_callers_line():
+    pairs = [(DATA[k % 3], DATA[(k + 1) % 3]) for k in range(5)]
+    stat = lambda pattern: float(len(pattern))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        statistics.lipschitz_ratio(stat, pairs, CUTOFF_2)
+    assert len(caught) == 1
+    assert "cutoff 2.0 > 1" in str(caught[0].message)
+    assert caught[0].filename == __file__
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        statistics.lipschitz_ratio(stat, pairs, CUTOFF_1)
+
+
+# (parameter, stream built from the value v)
+STREAM_KEYS = {
+    "seed": lambda v: RngStream(v),
+    "stream_index": lambda v: RngStream(0, v),
+    "path key": lambda v: RngStream(0, 1, (2, v)),
+    "substream": lambda v: RngStream(0).substream(1).substream(v),
+}
+
+
+@pytest.mark.parametrize("value", [2.5, 2.0, -1, float("nan"), "2", None])
+@pytest.mark.parametrize("name", STREAM_KEYS)
+def test_stream_keys_are_counts_refused_by_name(name, value):
+    label = "substream key" if name == "substream" else name
+    with pytest.raises(ValueError, match=f"^{label} must be an integer >= 0, got"):
+        STREAM_KEYS[name](value)
+
+
+def test_stream_keys_are_stored_as_ints():
+    stream = RngStream(np.int64(7), np.uint8(1), [np.int32(2)]).substream(np.int16(3))
+    assert stream == RngStream(7, 1, (2, 3))
+    assert all(type(v) is int for v in (stream.seed, stream.stream_index, *stream.path))
+    assert repr(stream) == "RngStream(seed=7, stream_index=1, path=(2, 3))"
+    assert (stream.generator().random(3).tobytes()
+            == RngStream(7, 1, (2, 3)).generator().random(3).tobytes())
+
+
+def test_cli_names_a_negative_seed_and_exits_4(capsys):
+    code = main(["simulate", "--model", "poisson", "--seed", "-1"])
+    out, err = capsys.readouterr()
+    assert code == 4 and out == ""
+    assert err.startswith("error: ") and "seed must be an integer >= 0, got -1" in err
