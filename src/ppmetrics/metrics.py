@@ -24,7 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial.distance import cdist
-from scipy.stats import binom, poisson
 
 from .assignment import _check_transport_side, _check_weights, \
     min_cost_matching, solve_transportation
@@ -98,6 +97,10 @@ class CountDistribution:
     @classmethod
     def binomial(cls, n, p):
         """Binomial(n, p) counts on the full support 0..n, at most 10**6 points."""
+        # scipy.stats is imported here, not at module level, because it adds
+        # about 0.5 s and 20 MB to every `import ppmetrics`
+        from scipy.stats import binom
+
         n = check_count("n", n)
         _check_support_size(n + 1, f"a count support of {n + 1} points")
         ks = np.arange(n + 1)
@@ -112,6 +115,8 @@ class CountDistribution:
         by at most ``2 * tail``. A support of more than 10**6 points is
         refused before it is built.
         """
+        from scipy.stats import poisson  # imported here, as in binomial
+
         lam = check_real("lam", lam, above=0)
         kmax = poisson.ppf(1.0 - check_real("tail", tail, above=0, below=1), lam)
         _check_support_size(kmax + 1, f"the count support of Poisson(lam={lam}) "

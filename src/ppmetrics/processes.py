@@ -81,28 +81,6 @@ def _fold(pool, hash_const, words):
     return tuple(pool), hash_const
 
 
-def _seed_pool(seed):
-    """Pool and hash constant of a spawned ``SeedSequence`` before its key.
-
-    numpy pads the seed's words with zeros to the pool size whenever a
-    spawn key is given, hashes them into the pool, cross-mixes the pool,
-    and then folds in any seed words past the pool size.
-    """
-    words = _words(seed)
-    words += [0] * (_POOL_SIZE - len(words))
-    hash_const = _INIT_A
-    pool = []
-    for word in words[:_POOL_SIZE]:
-        value, hash_const = _hashmix(word, hash_const)
-        pool.append(value)
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                value, hash_const = _hashmix(pool[src], hash_const)
-                pool[dst] = _mix(pool[dst], value)
-    return _fold(pool, hash_const, words[_POOL_SIZE:])
-
-
 def _pcg64_words(pool):
     """``SeedSequence.generate_state(4, np.uint64)`` of a mixed pool."""
     hash_const = _INIT_B
@@ -140,6 +118,8 @@ class RngStream:
     *path)))`` bit for bit. The mixed ``SeedSequence`` pool of the stream's
     own key is kept with it and handed down, so a substream folds in only
     its own key word instead of hashing the seed and the whole key again.
+    A root's pool is numpy's own; only the per-key fold and the state
+    words use the copied constants, and the import check covers both.
     ``seed``, ``stream_index`` and every path key, so every ``substream(k)``,
     must be an integer >= 0; any other value is refused by name.
     """
@@ -173,10 +153,16 @@ class RngStream:
 
     def _mixed_pool(self):
         if self._pool is None:
-            pool, hash_const = _seed_pool(self.seed)
-            key = [self.stream_index, *self.path]
-            words = [w for k in key for w in _words(k)]
-            object.__setattr__(self, "_pool", _fold(pool, hash_const, words))
+            key = (self.stream_index, *self.path)
+            pool = np.random.SeedSequence(self.seed, spawn_key=key).pool
+            # numpy pads the seed to the pool size, then hashes every word
+            # once into each pool word, and each hash steps the constant by
+            # _MULT_A whatever the word
+            n_words = max(len(_words(self.seed)), _POOL_SIZE) + sum(
+                len(_words(k)) for k in key)
+            hash_const = _INIT_A * pow(_MULT_A, _POOL_SIZE * n_words,
+                                       _MASK32 + 1) & _MASK32
+            object.__setattr__(self, "_pool", (tuple(pool.tolist()), hash_const))
         return self._pool
 
 
@@ -231,23 +217,13 @@ class Window:
     def sample_uniform(self, n, gen):
         return self._origin + self._extent * gen.random((n, self.dimension))
 
-    @property
-    def center(self):
-        return tuple(
-            0.5 * (a + b) for a, b in zip(self.lower, self.upper)
-        )
-
 
 UNIT_SQUARE = Window((0.0, 0.0), (1.0, 1.0))
 
 
 def uniform_sampler(window=UNIT_SQUARE):
     """Location sampler drawing i.i.d. uniform points from the window."""
-
-    def draw(n, gen):
-        return window.sample_uniform(n, gen)
-
-    return draw
+    return window.sample_uniform
 
 
 def sample_poisson_homogeneous(lambda_total, window=UNIT_SQUARE, rng=RngStream(0)):

@@ -26,8 +26,8 @@ from .geometry import (
     nn_distances,
     subset_enclosing_diameters,
 )
-from .metrics import MetricParams, _cutoff_checked, _dbar2_compare, \
-    _warn_cutoff, dbar1_pc, dbar2_empirical
+from .metrics import MetricParams, _check_metric, _cutoff_checked, \
+    _dbar2_compare, _warn_cutoff, dbar1_pc, dbar2_empirical
 from .processes import UNIT_SQUARE, RngStream, sample_collection, \
     sample_poisson_fkappa, sample_poisson_homogeneous
 
@@ -351,6 +351,7 @@ def power_study(kappa, n_patterns=12, lam=30.0, cutoff=1.0, reps=100,
     n_patterns = check_count("n_patterns", n_patterns, at_least=2)
     lam = check_real("lam", lam, above=0)
     _check_size(n_null, alpha)
+    _check_metric(metric)
     job = partial(_power_replicate, kappa=kappa, n_patterns=n_patterns,
                   lam=lam, params=MetricParams(order, cutoff), n_null=n_null,
                   alpha=alpha, metric=metric, share_reference=share_reference,

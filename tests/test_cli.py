@@ -13,6 +13,12 @@ from ppmetrics.fileio import write_patterns
 DATA = os.path.join(os.path.dirname(__file__), "data")
 FIG1_A = os.path.join(DATA, "fig1_99.txt")
 FIG1_B = os.path.join(DATA, "fig1_100.txt")
+# child interpreters see neither pytest's `pythonpath` nor an install, so
+# they get the checkout's src first on PYTHONPATH
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                   "src")
+CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
 
 from importlib import resources
 
@@ -251,7 +257,7 @@ def test_exit_code_usage_error():
     # argparse exits with status 2 on unknown arguments
     proc = subprocess.run(
         [sys.executable, "-m", "ppmetrics.cli", "dist", "--no-such-flag"],
-        capture_output=True,
+        capture_output=True, env=CHILD_ENV,
     )
     assert proc.returncode == 2
 
@@ -260,11 +266,22 @@ def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "ppmetrics.cli", "bounds", "--which", "stein2",
          "--lambda", "100", "--n", "1000000"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=CHILD_ENV,
     )
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["values"]["stein_factor_delta2"] == 0.01
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats is loaded only where a count law is built
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, ppmetrics, ppmetrics.cli; "
+         "print('scipy.stats' in sys.modules)"],
+        capture_output=True, text=True, env=CHILD_ENV,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("token", ["nan", "1e400"])

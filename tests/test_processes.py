@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -159,6 +160,15 @@ def test_iid_process_determinism():
                            uniform_sampler(), RngStream(20, 1))
     b = sample_iid_process(CountDistribution.binomial(3, 0.5),
                            uniform_sampler(), RngStream(20, 1))
+    assert np.array_equal(a, b)
+
+
+def test_uniform_sampler_pickles():
+    window = Window((0.0, -1.0), (2.0, 1.0))
+    sampler = pickle.loads(pickle.dumps(uniform_sampler(window)))
+    a = sample_iid_process(CountDistribution.delta(5), sampler, RngStream(23))
+    b = sample_iid_process(CountDistribution.delta(5), uniform_sampler(window),
+                           RngStream(23))
     assert np.array_equal(a, b)
 
 

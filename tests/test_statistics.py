@@ -9,6 +9,7 @@ from ppmetrics.geometry import GroundMetricSpec, min_enclosing_ball
 from ppmetrics.metrics import MetricParams
 from ppmetrics.processes import RngStream, UNIT_SQUARE, sample_collection, \
     sample_poisson_fkappa, sample_poisson_homogeneous
+from ppmetrics import statistics
 from ppmetrics.statistics import (
     MAX_USTAT_SUBSETS,
     KernelSpec,
@@ -253,6 +254,16 @@ def test_power_study_validation():
         power_study(0.0, reps=2, parallel=False)
     with pytest.raises(ValueError):
         power_study(1.0, reps=0, parallel=False)
+
+
+def test_power_study_refuses_unknown_metric_before_the_pool(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("the worker pool was started")
+
+    monkeypatch.setenv("PPMETRICS_THREADS", "2")
+    monkeypatch.setattr(statistics, "ProcessPoolExecutor", no_pool)
+    with pytest.raises(ValueError, match="unknown pattern metric"):
+        power_study(1.0, metric="d2", reps=4)
 
 
 def test_power_study_metric_d1_runs():
