@@ -5,131 +5,21 @@ The package provides the pattern metrics ``d1``, ``dbar1`` and
 count metrics ``dR``/``dRW``, seedable point-process samplers, closed-form
 Poisson-approximation bounds, pattern statistics with known sensitivity,
 and a Monte Carlo test of spatial homogeneity with its power study.
+
+Each library module's ``__all__`` is the one list of its public names; the
+package republishes all of them.
 """
 
-from .assignment import (
-    AssignmentResult,
-    TransportPlan,
-    solve_assignment,
-    solve_transportation,
-)
-from .bounds import (
-    IidBoundsResult,
-    bernoulli_binomial_bound,
-    bernoulli_poisson_bound,
-    binomial_poisson_bound,
-    counterexample_integrals,
-    iid_bounds,
-    poisson_poisson_bound,
-    stein_factor_delta1,
-    stein_factor_delta2,
-)
-from .errors import DimensionMismatchError, PatternFileError
-from .geometry import (
-    Ball,
-    GroundMetricSpec,
-    as_pattern,
-    capped_ball_diameter,
-    ground_distance,
-    min_enclosing_ball,
-    nn_distances,
-    pairwise_ground_distances,
-    subset_enclosing_diameters,
-)
-from .metrics import (
-    CountDistribution,
-    MetricParams,
-    d1,
-    dbar1,
-    dbar1_pc,
-    dbar2_empirical,
-    dbar2_transport,
-    dR,
-    dRW,
-    dW_empirical,
-    matching_details,
-    pattern_distance_matrix,
-)
-from .processes import (
-    RngStream,
-    UNIT_SQUARE,
-    Window,
-    evolve_immigration_death,
-    sample_bernoulli_process,
-    sample_binomial_process,
-    sample_collection,
-    sample_iid_process,
-    sample_poisson_fkappa,
-    sample_poisson_homogeneous,
-    uniform_sampler,
-)
-from .statistics import (
-    KernelSpec,
-    PowerEstimate,
-    TestResult,
-    avg_nn_statistic,
-    homogeneity_test,
-    lipschitz_ratio,
-    power_study,
-    ustat,
-)
+from . import assignment, bounds, errors, geometry, metrics, processes, statistics
+from .assignment import *
+from .bounds import *
+from .errors import *
+from .geometry import *
+from .metrics import *
+from .processes import *
+from .statistics import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AssignmentResult",
-    "Ball",
-    "CountDistribution",
-    "DimensionMismatchError",
-    "GroundMetricSpec",
-    "IidBoundsResult",
-    "KernelSpec",
-    "MetricParams",
-    "PatternFileError",
-    "PowerEstimate",
-    "RngStream",
-    "TestResult",
-    "TransportPlan",
-    "UNIT_SQUARE",
-    "Window",
-    "as_pattern",
-    "avg_nn_statistic",
-    "bernoulli_binomial_bound",
-    "bernoulli_poisson_bound",
-    "binomial_poisson_bound",
-    "capped_ball_diameter",
-    "counterexample_integrals",
-    "d1",
-    "dbar1",
-    "dbar1_pc",
-    "dbar2_empirical",
-    "dbar2_transport",
-    "dR",
-    "dRW",
-    "dW_empirical",
-    "evolve_immigration_death",
-    "ground_distance",
-    "homogeneity_test",
-    "iid_bounds",
-    "lipschitz_ratio",
-    "matching_details",
-    "min_enclosing_ball",
-    "nn_distances",
-    "pairwise_ground_distances",
-    "pattern_distance_matrix",
-    "poisson_poisson_bound",
-    "power_study",
-    "sample_bernoulli_process",
-    "sample_binomial_process",
-    "sample_collection",
-    "sample_iid_process",
-    "sample_poisson_fkappa",
-    "sample_poisson_homogeneous",
-    "solve_assignment",
-    "solve_transportation",
-    "stein_factor_delta1",
-    "stein_factor_delta2",
-    "subset_enclosing_diameters",
-    "uniform_sampler",
-    "ustat",
-]
+__all__ = sorted(name for module in (assignment, bounds, errors, geometry, metrics,
+                                     processes, statistics) for name in module.__all__)

@@ -7,6 +7,8 @@ the most specific class that applies. The public scalar parameters pass
 
 import operator
 
+__all__ = ["DimensionMismatchError", "PatternFileError"]
+
 _INF = float("inf")
 
 

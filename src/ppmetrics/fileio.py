@@ -33,6 +33,8 @@ def _parse_line(line, lineno):
         coords = [float(tok) for tok in parts]
     except ValueError:
         raise PatternFileError(f"cannot parse coordinates from {line!r}", lineno)
+    if not coords:
+        raise PatternFileError(f"no coordinates in {line!r}", lineno)
     if not all(math.isfinite(v) for v in coords):
         raise PatternFileError(f"non-finite coordinate in {line!r}", lineno)
     return coords

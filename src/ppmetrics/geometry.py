@@ -35,18 +35,14 @@ class GroundMetricSpec:
 
     ``theory_mode=True`` enforces ``cap <= 1``, the regime in which the
     pattern metrics built on top are bounded by 1 and all metric-theoretic
-    guarantees hold. ``dimension`` is validated (``>= 1``) but never
-    checked against the patterns: every metric uses the patterns' own
-    dimension.
+    guarantees hold. Every metric uses the patterns' own dimension.
     """
 
     cap: float = 1.0
-    dimension: int = 2
     theory_mode: bool = True
 
     def __post_init__(self):
         check_real("cap", self.cap, above=0)
-        check_count("dimension", self.dimension, at_least=1)
         if self.theory_mode and self.cap > 1:
             raise ValueError(
                 "theory mode requires cap <= 1; construct with theory_mode=False "

@@ -78,7 +78,8 @@ def ustat(pattern, kernel, anchor):
 
     Patterns with fewer than ``l`` points are first padded with copies of
     the ``anchor`` point, which extends the statistic to all of pattern
-    space without increasing its sensitivity. At arity 2 both kernels are
+    space without increasing its sensitivity; the anchor must be finite
+    even when no padding is needed. At arity 2 both kernels are
     half the capped interpoint distance, taken from ``pdist``. At arity
     ``l >= 3`` the enclosing-circle diameters of all ``C(n, l)`` subsets
     come from one vectorised pass of
@@ -89,6 +90,8 @@ def ustat(pattern, kernel, anchor):
     """
     pts = as_pattern(pattern)
     x0 = np.asarray(anchor, dtype=float).reshape(1, -1)
+    if not np.isfinite(x0).all():
+        raise ValueError(f"anchor must have finite coordinates, got {anchor}")
     if len(pts) > 0 and pts.shape[1] != x0.shape[1]:
         raise ValueError(
             f"anchor dimension {x0.shape[1]} does not match pattern "

@@ -47,7 +47,7 @@ from ppmetrics.statistics import (
 from oracles import brute_force_dbar1, random_pattern
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
-UNIT = GroundMetricSpec(cap=1.0, dimension=2)
+UNIT = GroundMetricSpec(cap=1.0)
 
 
 def _report(num, name, ok, detail=""):
@@ -210,7 +210,7 @@ def test_criterion_05_lipschitz_suites():
 def _lipschitz_family(dim):
     window_center = np.full(dim, 0.5)
     half = KernelSpec("half_interpoint", 2, 1.0)
-    spec = GroundMetricSpec(cap=1.0, dimension=dim)
+    spec = GroundMetricSpec(cap=1.0)
     return {
         "inverse_count": lambda p: 1.0 / (len(p) + 1),
         "half_interpoint_ustat": lambda p: ustat(p, half, window_center),

@@ -293,6 +293,16 @@ def test_exit_code_data_error_non_finite_coordinate(capsys, tmp_path, token):
     assert "line 2" in err and "non-finite" in err
 
 
+def test_exit_code_data_error_line_without_coordinates(capsys, tmp_path):
+    data = tmp_path / "d.txt"
+    one = tmp_path / "one.txt"
+    data.write_text(",\n")
+    one.write_text("0.5\n")
+    assert main(["dist", str(data), str(one)]) == 3
+    err = capsys.readouterr().err
+    assert "line 1" in err and "no coordinates" in err
+
+
 ENVELOPE = {"command", "parameters", "seed", "wall_time_s"}
 BOUNDS_DOC = {"values"}
 

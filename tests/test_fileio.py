@@ -44,6 +44,14 @@ def test_parse_rejects_inconsistent_dimension():
         parse_patterns("0.1 0.2\n0.3 0.4 0.5\n")
 
 
+@pytest.mark.parametrize("text, line", [(",\n", 1), (" , ,\n", 1),
+                                        ("0.1 0.2\n,\n", 2), ("0.1\n\n,\n", 3)])
+def test_parse_rejects_line_without_coordinates(text, line):
+    # a line of separators alone is no point of dimension 0
+    with pytest.raises(PatternFileError, match=f"line {line}: no coordinates"):
+        parse_patterns(text)
+
+
 def test_parse_rejects_empty_file():
     with pytest.raises(PatternFileError):
         parse_patterns("# only a comment\n")

@@ -20,7 +20,7 @@ from ppmetrics.geometry import (
 
 from oracles import enclosing_circle_oracle
 
-UNIT = GroundMetricSpec(cap=1.0, dimension=2)
+UNIT = GroundMetricSpec(cap=1.0)
 
 
 def test_ground_distance_identity():
@@ -129,18 +129,18 @@ def test_capped_diameter():
 
 
 def test_nn_distances_duplicates():
-    assert nn_distances([[0.1], [0.1]], GroundMetricSpec(dimension=1)).tolist() == [0.0, 0.0]
+    assert nn_distances([[0.1], [0.1]], GroundMetricSpec()).tolist() == [0.0, 0.0]
 
 
 def test_nn_distances_hand_value():
-    got = nn_distances(np.array([[0.0], [0.3], [1.0]]), GroundMetricSpec(dimension=1))
+    got = nn_distances(np.array([[0.0], [0.3], [1.0]]), GroundMetricSpec())
     assert np.allclose(got, [0.3, 0.3, 0.7], atol=1e-12)
 
 
 def test_nn_distances_capped_and_relabel_invariant():
     gen = np.random.default_rng(3)
     pts = gen.random((15, 2)) * 4
-    spec = GroundMetricSpec(cap=0.6, dimension=2)
+    spec = GroundMetricSpec(cap=0.6)
     base = nn_distances(pts, spec)
     assert (base <= 0.6).all()
     perm = gen.permutation(15)

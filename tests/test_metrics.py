@@ -28,7 +28,7 @@ from oracles import (
     random_pattern,
 )
 
-UNIT = GroundMetricSpec(cap=1.0, dimension=2)
+UNIT = GroundMetricSpec(cap=1.0)
 
 
 # ---------------------------------------------------------------- d1 / dbar1
@@ -334,7 +334,7 @@ def test_d1_is_cutoff_for_unequal_counts_on_every_path():
     gen = np.random.default_rng(19)
     xi, eta = gen.random((3, 2)), gen.random((5, 2))
     params = MetricParams(1.0, 0.5)
-    assert d1(xi, eta, GroundMetricSpec(cap=0.5, dimension=2)) == 0.5
+    assert d1(xi, eta, GroundMetricSpec(cap=0.5)) == 0.5
     mat = pattern_distance_matrix([xi], [eta], params, metric="d1")
     assert mat[0, 0] == 0.5
     assert matching_details(xi, eta, params, metric="d1") == (0.5, [])
@@ -370,7 +370,7 @@ def test_dw_uniform_vs_half_uniform():
     gen = np.random.default_rng(18)
     xs = gen.random((200, 1))
     ys = gen.random((200, 1)) / 2.0
-    got = dW_empirical(xs, ys, GroundMetricSpec(cap=1.0, dimension=1))
+    got = dW_empirical(xs, ys, GroundMetricSpec(cap=1.0))
     assert abs(got - 0.25) < 0.05
 
 

@@ -78,7 +78,6 @@ REALS = {
 }
 
 COUNTS = {
-    ("GroundMetricSpec", "dimension"): lambda v: geometry.GroundMetricSpec(dimension=v),
     ("KernelSpec", "arity"): lambda v: statistics.KernelSpec("minball_diameter", arity=v),
     ("CountDistribution.delta", "k"): lambda v: CountDistribution.delta(v),
     ("CountDistribution.binomial", "n"): lambda v: CountDistribution.binomial(v, 0.5),

@@ -55,6 +55,18 @@ def test_ustat_padding_extension():
     assert ustat(np.empty((0, 2)), HALF, CENTER) == 0.0
 
 
+@pytest.mark.parametrize("pattern, kernel", [
+    ([[0.1, 0.2], [0.3, 0.4]], HALF),                     # no padding needed
+    ([[0.1, 0.2]], HALF),
+    (np.empty((0, 2)), HALF),
+    ([[0.1, 0.2]], KernelSpec("minball_diameter", 3, 1.0)),
+])
+@pytest.mark.parametrize("anchor", [[math.nan, 0.0], [0.5, math.inf]])
+def test_ustat_refuses_non_finite_anchor(pattern, kernel, anchor):
+    with pytest.raises(ValueError, match="anchor must have finite coordinates"):
+        ustat(pattern, kernel, anchor)
+
+
 def test_ustat_minball_arity3_value():
     spec = KernelSpec("minball_diameter", 3, 1.0)
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
@@ -96,7 +108,7 @@ def test_minball_kernel_lipschitz_axiom_arity3():
 def test_avg_nn_values():
     assert avg_nn_statistic(np.array([[0.2, 0.2], [0.2, 0.2]])) == 0.0
     got = avg_nn_statistic(np.array([[0.0], [0.3], [1.0]]),
-                           spec=GroundMetricSpec(dimension=1))
+                           spec=GroundMetricSpec())
     assert abs(got - 13.0 / 30.0) < 1e-12
     assert avg_nn_statistic(np.empty((0, 2)), alpha0=0.7) == 0.7
     assert avg_nn_statistic(np.array([[0.1, 0.1]]), alpha1=0.4) == 0.4
