@@ -102,6 +102,7 @@ class CountDistribution:
         from scipy.stats import binom
 
         n = check_count("n", n)
+        p = check_real("p", p, at_least=0, at_most=1)
         _check_support_size(n + 1, f"a count support of {n + 1} points")
         ks = np.arange(n + 1)
         pr = binom.pmf(ks, n, p)

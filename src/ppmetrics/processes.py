@@ -8,6 +8,8 @@ replicate, so runs parallelize deterministically.
 """
 
 from dataclasses import dataclass, field
+from functools import reduce
+from itertools import product
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -55,7 +57,8 @@ def _words(value):
 
 
 def _hashmix(value, hash_const):
-    value ^= hash_const
+    # not ``^=``, which would overwrite a key column in place
+    value = value ^ hash_const
     hash_const = hash_const * _MULT_A & _MASK32
     value = value * hash_const & _MASK32
     return value ^ (value >> _XSHIFT), hash_const
@@ -71,7 +74,8 @@ def _fold(pool, hash_const, words):
 
     This is how ``SeedSequence.mix_entropy`` takes every entropy word past
     the pool size, so a spawn key can be folded in one word at a time.
-    Returns the new pool and the running hash constant.
+    Returns the new pool and the running hash constant, which steps alike
+    whatever the word, so a word may also be a ``uint64`` column of words.
     """
     pool = list(pool)
     for word in words:
@@ -82,7 +86,8 @@ def _fold(pool, hash_const, words):
 
 
 def _pcg64_words(pool):
-    """``SeedSequence.generate_state(4, np.uint64)`` of a mixed pool."""
+    """``SeedSequence.generate_state(4, np.uint64)`` of a mixed pool: shape
+    ``(4,)``, or ``(4, n)`` for a pool of length-``n`` columns."""
     hash_const = _INIT_B
     words = []
     for i in range(8):
@@ -96,7 +101,8 @@ def _pcg64_words(pool):
 
 
 class _PCG64Seed(ISeedSequence):
-    """Hands ``PCG64`` the four ``uint64`` state words it asks for."""
+    """Hands ``PCG64`` the four ``uint64`` state words it asks for; a
+    sampler takes it in place of the :class:`RngStream` they come from."""
 
     def __init__(self, words):
         self.words = words
@@ -105,6 +111,9 @@ class _PCG64Seed(ISeedSequence):
         if n_words != len(self.words) or np.dtype(dtype) != np.uint64:
             raise ValueError("holds only the 4 uint64 words that seed PCG64")
         return self.words
+
+    def generator(self):
+        return np.random.Generator(np.random.PCG64(self))
 
 
 @dataclass(frozen=True)
@@ -148,8 +157,7 @@ class RngStream:
         return child
 
     def generator(self):
-        words = _pcg64_words(self._mixed_pool()[0])
-        return np.random.Generator(np.random.PCG64(_PCG64Seed(words)))
+        return _PCG64Seed(_pcg64_words(self._mixed_pool()[0])).generator()
 
     def _mixed_pool(self):
         if self._pool is None:
@@ -166,13 +174,40 @@ class RngStream:
         return self._pool
 
 
+def _substream_grid(rng, *axes):
+    """Object array whose entry ``[i, j, ...]`` draws, as ``rng``, exactly
+    what ``rng.substream(axes[0][i]).substream(axes[1][j])...`` draws.
+
+    Each axis is folded once, as a ``uint64`` column over the whole grid:
+    keys of one word step the hash constant alike. A key of 2**32 or more
+    does not, so a grid holding one is built child by child.
+    """
+    if any(key > _MASK32 for keys in axes for key in keys):
+        children = [reduce(RngStream.substream, key, rng) for key in product(*axes)]
+    else:
+        pool, hash_const = rng._mixed_pool()
+        for column in np.meshgrid(*(np.array(keys, dtype=np.uint64) for keys in axes),
+                                  indexing="ij"):
+            pool, hash_const = _fold(pool, hash_const, [column.ravel()])
+        # PCG64 reads a stream's four words from contiguous memory
+        children = [_PCG64Seed(words) for words in _pcg64_words(pool).T.copy()]
+    grid = np.empty([len(keys) for keys in axes], dtype=object)
+    grid.flat = children
+    return grid
+
+
 def _check_seed_constants():
-    """Fail on import if numpy's ``SeedSequence`` no longer mixes as ours does."""
-    seed, key = 2**70 + 12345, (3, 2**40 + 7)
-    pool, _ = RngStream(seed, key[0]).substream(key[1])._mixed_pool()
-    reference = np.random.SeedSequence(seed, spawn_key=key)
-    if not (pool == tuple(reference.pool.tolist()) and np.array_equal(
-            _pcg64_words(pool), reference.generate_state(4, np.uint64))):
+    """Fail on import if numpy's ``SeedSequence`` no longer mixes as the
+    per-key fold, the column fold of a grid and the state words do."""
+    seed, key, axes = 2**70 + 12345, (3, 2**40 + 7), ((0, 2**32 - 1), (5, 6, 7))
+    stream = RngStream(seed, key[0]).substream(key[1])
+    pool, _ = stream._mixed_pool()
+    ours = [_pcg64_words(pool)] + [c.words for c in _substream_grid(stream, *axes).flat]
+    theirs = [np.random.SeedSequence(seed, spawn_key=key + keys)
+              for keys in [()] + list(product(*axes))]
+    if not (pool == tuple(theirs[0].pool.tolist()) and all(
+            np.array_equal(words, seq.generate_state(4, np.uint64))
+            for words, seq in zip(ours, theirs))):
         raise RuntimeError(
             f"numpy {np.__version__} mixes SeedSequence entropy differently "
             "from ppmetrics.processes.RngStream, so its streams would not be "

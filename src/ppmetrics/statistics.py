@@ -28,8 +28,8 @@ from .geometry import (
 )
 from .metrics import MetricParams, _check_metric, _cutoff_checked, \
     _dbar2_compare, _warn_cutoff, dbar1_pc, dbar2_empirical
-from .processes import UNIT_SQUARE, RngStream, sample_collection, \
-    sample_poisson_fkappa, sample_poisson_homogeneous
+from .processes import UNIT_SQUARE, RngStream, _substream_grid, \
+    sample_collection, sample_poisson_fkappa, sample_poisson_homogeneous
 
 __all__ = [
     "KernelSpec",
@@ -48,6 +48,11 @@ KERNEL_KINDS = ("half_interpoint", "minball_diameter")
 
 # C(n, l) cap on the subsets a U-statistic of arity l >= 3 enumerates
 MAX_USTAT_SUBSETS = 10**6
+
+# nulls whose substreams _monte_carlo seeds in one fold: enough to spread
+# the fixed cost of each column operation, few enough that an early stop
+# leaves little seeded and memory does not grow with n_null
+_NULL_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -208,6 +213,8 @@ def _monte_carlo(data, lam, params, n_null, alpha, rng, metric,
     :func:`~ppmetrics.metrics._dbar2_compare`, which solves the full
     pattern matrix only when its bounds leave the comparison open, and
     ``nulls`` stays empty; the rank, and so the decision, is the same.
+    Null ``j`` draws pattern ``i`` from ``rng.substream(1 + j).substream(s)
+    .substream(i)``, ``s = 1`` for a redrawn reference, seeded in blocks.
     """
     data = [as_pattern(p, dim=window.dimension) for p in data]
     if len(data) < 2:
@@ -223,14 +230,18 @@ def _monte_carlo(data, lam, params, n_null, alpha, rng, metric,
     reference = sample_collection(n_patterns, poisson, rng.substream(0))
     observed = dbar2_empirical(data, reference, params, None, metric)
     threshold = _rejection_threshold(alpha, n_null)
+    sides = (0,) if share_reference else (0, 1)
     nulls = []
     n_drawn = n_higher = n_tied = 0
     while n_drawn < n_null and not (early_stop and n_higher >= threshold):
-        null_stream = rng.substream(1 + n_drawn)
-        null_data = sample_collection(n_patterns, poisson,
-                                      null_stream.substream(0))
-        ref_i = reference if share_reference else sample_collection(
-            n_patterns, poisson, null_stream.substream(1))
+        if n_drawn % _NULL_BLOCK == 0:
+            block = _substream_grid(
+                rng, range(1 + n_drawn, 1 + min(n_drawn + _NULL_BLOCK, n_null)),
+                sides, range(n_patterns))
+        streams = block[n_drawn % _NULL_BLOCK]
+        null_data = [poisson(stream) for stream in streams[0]]
+        ref_i = reference if share_reference else [
+            poisson(stream) for stream in streams[1]]
         if settle:
             sign = _dbar2_compare(null_data, ref_i, observed, params, metric)
         else:

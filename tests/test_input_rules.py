@@ -48,7 +48,9 @@ def test_dbar2_transport_accepts_the_longest_side():
     lambda: CountDistribution((0, 1), (math.nan, 1.0)),
     lambda: CountDistribution((0, 1), (math.inf, 1.0)),
     lambda: CountDistribution((0, 1), (1e308, 1e308)),
-    lambda: CountDistribution.binomial(3, 1.5),
+    # finite entries outside [0, 1] that sum to 1 (binomial(3, 1.5) stops at
+    # its p check now, see test_scalar_rules)
+    lambda: CountDistribution((0, 1), (1.5, -0.5)),
     lambda: solve_transportation([math.nan, 1.0], [1.0], [[0.0], [0.0]]),
     lambda: solve_transportation([1.0], [0.5, math.nan], [[0.0, 0.0]]),
 ])
@@ -62,7 +64,7 @@ def test_cli_bounds_with_a_bad_binomial_names_the_probabilities(capsys):
                  "--nu", "delta:1"])
     err = capsys.readouterr().err
     assert code == 4
-    assert "binomial:3,1.5" in err and "probabilities" in err
+    assert "binomial:3,1.5" in err and "p must be a finite real >= 0 and <= 1" in err
     assert "b_eq" not in err
 
 

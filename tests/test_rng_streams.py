@@ -1,6 +1,7 @@
 """RngStream draws numpy's own SeedSequence streams, bit for bit."""
 
 import pickle
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -83,6 +84,49 @@ def test_negative_key_words_are_rejected(make):
 def test_constant_check_names_the_numpy_version(monkeypatch):
     processes._check_seed_constants()
     monkeypatch.setattr(processes, "_MULT_B", processes._MULT_B ^ 1)
+    with pytest.raises(RuntimeError, match=f"numpy {np.__version__}"):
+        processes._check_seed_constants()
+
+
+# 2**32 - 1 is the largest key the column fold takes; 2**32 and above have two
+# words and send the grid down the per-child path
+grid_key = st.one_of(st.integers(0, 3), st.integers(2**32 - 2, 2**32 - 1),
+                     st.integers(0, 2**33))
+root_key = st.one_of(st.integers(0, 3), st.integers(0, 2**70))
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed, root_key, st.lists(root_key, max_size=3).map(tuple),
+       st.lists(st.lists(grid_key, min_size=1, max_size=3), min_size=1, max_size=3))
+def test_grid_children_draw_what_their_substream_chains_draw(seed, index, path, axes):
+    rng = RngStream(seed, index, path)
+    grid = processes._substream_grid(rng, *axes)
+    assert grid.shape == tuple(len(keys) for keys in axes)
+    for position in np.ndindex(grid.shape):
+        keys = [axis[i] for axis, i in zip(axes, position)]
+        chained = reduce(RngStream.substream, keys, rng)
+        assert grid[position].generator().random(3).tobytes() == \
+            chained.generator().random(3).tobytes()
+
+
+def test_grid_folds_one_word_keys_as_columns_and_chains_longer_ones():
+    rng = RngStream(2**70 + 5, 2**33 + 1, (7,))
+    folded = processes._substream_grid(rng, (0, 2**32 - 1), range(3))
+    assert all(type(child) is processes._PCG64Seed for child in folded.flat)
+    assert folded[1, 2].generator().random(4).tobytes() == numpy_generator(
+        2**70 + 5, (2**33 + 1, 7, 2**32 - 1, 2)).random(4).tobytes()
+    chained = processes._substream_grid(rng, (0, 2**32), range(3))
+    assert chained[1, 2] == rng.substream(2**32).substream(2)
+    assert chained[0, 1] == rng.substream(0).substream(1)
+
+
+def test_constant_check_covers_the_grid_fold(monkeypatch):
+    # substream() rebuilt on numpy's own root pools leaves the grid's column
+    # fold as the only part of the check that uses _MULT_A
+    monkeypatch.setattr(RngStream, "substream", lambda self, k: RngStream(
+        self.seed, self.stream_index, self.path + (k,)))
+    processes._check_seed_constants()
+    monkeypatch.setattr(processes, "_MULT_A", processes._MULT_A ^ 1)
     with pytest.raises(RuntimeError, match=f"numpy {np.__version__}"):
         processes._check_seed_constants()
 

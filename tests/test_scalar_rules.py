@@ -29,6 +29,7 @@ def _power(kappa, **kwargs):
 REALS = {
     ("MetricParams", "order"): lambda v: MetricParams(order=v),
     ("MetricParams", "cutoff"): lambda v: MetricParams(cutoff=v),
+    ("CountDistribution.binomial", "p"): lambda v: CountDistribution.binomial(3, v),
     ("poisson_truncated", "lam"): lambda v: CountDistribution.poisson_truncated(v),
     ("poisson_truncated", "tail"):
         lambda v: CountDistribution.poisson_truncated(3.0, tail=v),
@@ -133,6 +134,12 @@ def test_poisson_truncated_names_lam_when_its_quantile_is_not_a_number(lam):
     assert f"lam={lam}" in str(info.value) and "nan" not in str(info.value)
 
 
+@pytest.mark.parametrize("p", [-0.1, 1.5])
+def test_binomial_names_p_outside_the_unit_interval(p):
+    with pytest.raises(ValueError, match=f"^p must be a finite real >= 0 and <= 1, got {p}"):
+        CountDistribution.binomial(3, p)
+
+
 @pytest.fixture
 def data_file(tmp_path):
     path = tmp_path / "d.txt"
@@ -145,9 +152,11 @@ def data_file(tmp_path):
     (["bounds", "--which", "poisson-poisson", "--mu-total", "nan",
       "--nu-total", "1"], "mu_total"),
     (["bounds", "--which", "iid", "--mu", "poisson:nan", "--nu", "delta:1"], "lam"),
+    (["bounds", "--which", "iid", "--mu", "binomial:3,nan", "--nu", "poisson:1"], "p"),
     (["bounds", "--which", "stein1", "--lambda", "inf"], "lam"),
     (["test", "{data}", "--alpha", "nan"], "alpha"),
-], ids=["simulate-kappa", "poisson-poisson", "iid-poisson", "stein1", "test-alpha"])
+], ids=["simulate-kappa", "poisson-poisson", "iid-poisson", "iid-binomial", "stein1",
+        "test-alpha"])
 def test_cli_names_a_non_finite_parameter_and_exits_4(capsys, data_file, argv, name):
     code = main([arg.format(data=data_file) for arg in argv])
     out, err = capsys.readouterr()

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from ppmetrics.geometry import GroundMetricSpec, min_enclosing_ball
-from ppmetrics.metrics import MetricParams
+from ppmetrics.metrics import MetricParams, dbar2_empirical
 from ppmetrics.processes import RngStream, UNIT_SQUARE, sample_collection, \
     sample_poisson_fkappa, sample_poisson_homogeneous
-from ppmetrics import statistics
+from ppmetrics import processes, statistics
 from ppmetrics.statistics import (
     MAX_USTAT_SUBSETS,
     KernelSpec,
@@ -373,6 +373,58 @@ def test_early_stop_draws_no_null_at_threshold_zero():
     assert (res.rank, res.p_value, res.reject) == (1, 0.1, False)
     assert not homogeneity_test(data, lam=10.0, n_null=9, alpha=0.05,
                                 rng=RngStream(41)).reject
+
+
+def _per_stream_nulls(data, lam, params, n_null, rng, share_reference):
+    """The null statistics of a test, each collection drawn by sample_collection."""
+    def collection(stream):
+        return sample_collection(
+            len(data), lambda s: sample_poisson_homogeneous(lam, UNIT_SQUARE, s), stream)
+
+    reference = collection(rng.substream(0))
+    return [dbar2_empirical(collection(rng.substream(1 + j).substream(0)),
+                            reference if share_reference
+                            else collection(rng.substream(1 + j).substream(1)), params)
+            for j in range(n_null)]
+
+
+@pytest.fixture
+def grid_calls(monkeypatch):
+    """The axes of every _substream_grid call the null loop makes."""
+    calls = []
+
+    def spy(rng, *axes):
+        calls.append(axes)
+        return processes._substream_grid(rng, *axes)
+
+    monkeypatch.setattr(statistics, "_substream_grid", spy)
+    return calls
+
+
+@pytest.mark.parametrize("block", [None, 4])
+@pytest.mark.parametrize("early_stop", [False, True])
+@pytest.mark.parametrize("share_reference", [True, False])
+def test_block_seeded_nulls_equal_per_stream_collections(
+        monkeypatch, grid_calls, share_reference, early_stop, block):
+    if block is not None:
+        monkeypatch.setattr(statistics, "_NULL_BLOCK", block)
+    block = statistics._NULL_BLOCK
+    # 79 nulls span two blocks of 64; null data stop early
+    data = _poisson_data(5, 10.0, 90)
+    params, rng = MetricParams(1.0, 0.5), RngStream(91, 2)
+    res = homogeneity_test(data, lam=10.0, params=params, n_null=79, rng=rng,
+                           share_reference=share_reference, early_stop=early_stop)
+    n_drawn = len(res.null_statistics)
+    assert (n_drawn < 79) == early_stop
+    assert list(res.null_statistics) == _per_stream_nulls(
+        data, 10.0, params, n_drawn, rng, share_reference)
+    sides = (0,) if share_reference else (0, 1)
+    assert [axes[1:] for axes in grid_calls] == [(sides, range(5))] * len(grid_calls)
+    # each call seeds the next block of nulls, and no more
+    assert [list(axes[0]) for axes in grid_calls] == [
+        list(range(1 + start, 1 + min(start + block, 79)))
+        for start in range(0, n_drawn, block)]
+    assert len(grid_calls) == -(-n_drawn // block)
 
 
 def test_power_study_decisions_match_full_tests():
