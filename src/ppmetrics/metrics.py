@@ -17,7 +17,6 @@ pattern-level assignment problem; ``dRW`` is the analogous lift of the
 relative count difference ``dR`` to count distributions.
 """
 
-import contextvars
 import math
 import warnings
 from dataclasses import dataclass
@@ -131,33 +130,20 @@ class CountDistribution:
         return math.fsum(p for k, p in zip(self.support, self.probs) if k > 0)
 
 
-# True while a public call that has checked its cutoff runs nested public calls
-_CUTOFF_CHECKED = contextvars.ContextVar("cutoff_checked", default=False)
-
-
-def _warn_cutoff(cutoff, stacklevel=3):
-    """Warn at the public caller's line when ``cutoff > 1``, unless nested."""
-    if cutoff > 1 and not _CUTOFF_CHECKED.get():
+def _warn_cutoff(cutoff):
+    """Warn, at the line that called the public function, when ``cutoff > 1``."""
+    if cutoff > 1:
         warnings.warn(
             f"cutoff {cutoff} > 1: distances are bounded by the cutoff, "
             "not by 1, and the theory-mode guarantees do not apply",
-            stacklevel=stacklevel,
+            stacklevel=3,
         )
 
 
-def _cutoff_checked(fn, *args, **kwargs):
-    """``fn(*args, **kwargs)``, whose public calls do not warn about the cutoff."""
-    context = contextvars.copy_context()
-    context.run(_CUTOFF_CHECKED.set, True)
-    return context.run(fn, *args, **kwargs)
-
-
-def _as_pair(xi, eta, cutoff):
-    """Two validated patterns of a common dimension; warns, at the public
-    caller's line, when ``cutoff > 1``."""
+def _as_pair(xi, eta):
+    """Two validated patterns of a common dimension."""
     xi, eta = as_pattern(xi), as_pattern(eta)
     common_dimension(xi, eta)
-    _warn_cutoff(cutoff, stacklevel=4)
     return xi, eta
 
 
@@ -201,7 +187,8 @@ def d1(xi, eta, spec=GroundMetricSpec()):
     of different sizes are at the largest ground distance, ``spec.cap``,
     which is 1 in the paper's setting.
     """
-    xi, eta = _as_pair(xi, eta, spec.cap)
+    xi, eta = _as_pair(xi, eta)
+    _warn_cutoff(spec.cap)
     return _pair_matching(xi, eta, 1.0, spec.cap, None, "d1")[0]
 
 
@@ -212,7 +199,8 @@ def dbar1(xi, eta, spec=GroundMetricSpec()):
     ``(min over injections of the m matched ground distances + (n - m)
     * cap) / n``; both patterns empty gives 0.
     """
-    xi, eta = _as_pair(xi, eta, spec.cap)
+    xi, eta = _as_pair(xi, eta)
+    _warn_cutoff(spec.cap)
     return _pair_matching(xi, eta, 1.0, spec.cap, None)[0]
 
 
@@ -226,7 +214,8 @@ def dbar1_pc(xi, eta, params=MetricParams(), spec=None):
     ``c`` (and at most ``c * n**(1/p - 1)``). It is symmetric, but for
     ``p > 1`` the triangle inequality can fail, so it is then not a metric.
     """
-    xi, eta = _as_pair(xi, eta, params.cutoff)
+    xi, eta = _as_pair(xi, eta)
+    _warn_cutoff(params.cutoff)
     return _pair_matching(xi, eta, params.order, params.cutoff, spec)[0]
 
 
@@ -239,7 +228,8 @@ def matching_details(xi, eta, params=MetricParams(), spec=None, metric="dbar1"):
     pairing and the list is empty.
     """
     _check_metric(metric)
-    xi, eta = _as_pair(xi, eta, params.cutoff)
+    xi, eta = _as_pair(xi, eta)
+    _warn_cutoff(params.cutoff)
     value, xi_idx, eta_idx = _pair_matching(
         xi, eta, params.order, params.cutoff, spec, metric)
     if xi_idx is None:
@@ -289,6 +279,11 @@ def pattern_distance_matrix(ps, qs, params=MetricParams(), spec=None, metric="db
     """Matrix of pairwise pattern distances between two collections."""
     ps, qs = _as_collections(ps, qs, metric)
     _warn_cutoff(params.cutoff)
+    return _distance_matrix(ps, qs, params, spec, metric)
+
+
+def _distance_matrix(ps, qs, params, spec, metric):
+    """``pattern_distance_matrix`` of two validated collections."""
     p, c = params.order, params.cutoff
     out = np.empty((len(ps), len(qs)))
     for i, a in enumerate(ps):
@@ -313,9 +308,14 @@ def dbar2_empirical(ps, qs, params=MetricParams(), spec=None, metric="dbar1"):
     are rejected; use :func:`dbar2_transport` for that case.
     """
     _check_equal_sizes(ps, qs)
+    ps, qs = _as_collections(ps, qs, metric)
     _warn_cutoff(params.cutoff)
-    dmat = _cutoff_checked(pattern_distance_matrix, ps, qs, params, spec, metric)
-    total, _, _ = min_cost_matching(dmat, 0.0)
+    return _dbar2(ps, qs, params, spec, metric)
+
+
+def _dbar2(ps, qs, params, spec, metric):
+    """``dbar2_empirical`` of two validated collections of equal size."""
+    total, _, _ = min_cost_matching(_distance_matrix(ps, qs, params, spec, metric), 0.0)
     return total / len(ps)
 
 
@@ -377,8 +377,9 @@ _SETTLE_MARGIN = 1e-9
 def _dbar2_compare(ps, qs, value, params=MetricParams(), metric="dbar1"):
     """Sign of ``dbar2_empirical(ps, qs, params, None, metric) - value``.
 
-    Returns -1, 0 or +1, and solves pattern pairs only as far as the sign
-    needs. Any pairing of the collections costs at least the optimal one,
+    The patterns must be validated; only the sizes and the metric name are
+    checked, and nothing warns. Returns -1, 0 or +1, and solves pattern
+    pairs only as far as the sign needs. Any pairing of the collections costs at least the optimal one,
     so the mean exact distance over one pairing, both sides sorted by
     count, is an upper bound. The matrix then holds those exact entries
     and :func:`_pair_lower_bounds` elsewhere. Each round takes its optimal
@@ -388,10 +389,10 @@ def _dbar2_compare(ps, qs, value, params=MetricParams(), metric="dbar1"):
     the rounding of either path, so the result always equals the sign of
     the exact difference. Once the optimal pairing holds only exact
     entries the two bounds meet, and a value still within the margin is
-    decided by ``dbar2_empirical``: ties come from the exact value alone.
+    decided by the exact ``_dbar2``: ties come from the exact value alone.
     """
     _check_equal_sizes(ps, qs)
-    ps, qs = _as_collections(ps, qs, metric)
+    _check_metric(metric)
     p, c, size = params.order, params.cutoff, len(ps)
     above, below = value * (1 + _SETTLE_MARGIN), value * (1 - _SETTLE_MARGIN)
     rows = np.argsort([len(a) for a in ps], kind="stable")
@@ -419,7 +420,7 @@ def _dbar2_compare(ps, qs, value, params=MetricParams(), metric="dbar1"):
         known[rows[new], cols[new]] = True
         if math.fsum(costs[rows, cols].tolist()) / size < below:
             return -1
-    exact = dbar2_empirical(ps, qs, params, None, metric)
+    exact = _dbar2(ps, qs, params, None, metric)
     return int(exact > value) - int(exact < value)
 
 
@@ -431,8 +432,9 @@ def dbar2_transport(ps, qs, params=MetricParams(), spec=None, metric="dbar1"):
     ``MAX_TRANSPORT_SIDE`` patterns is refused before any pair is solved.
     """
     _check_transport_side(len(ps), len(qs))
+    ps, qs = _as_collections(ps, qs, metric)
     _warn_cutoff(params.cutoff)
-    dmat = _cutoff_checked(pattern_distance_matrix, ps, qs, params, spec, metric)
+    dmat = _distance_matrix(ps, qs, params, spec, metric)
     n, m = dmat.shape
     plan = solve_transportation(np.full(n, 1.0 / n), np.full(m, 1.0 / m), dmat)
     return plan.total_cost

@@ -46,14 +46,9 @@ _MIX_MULT_R = 0x4973F715
 _XSHIFT = 16
 
 
-def _words(value):
-    """Little-endian 32-bit words of a non-negative int, as numpy splits it."""
-    words = [value & _MASK32]
-    value >>= 32
-    while value:
-        words.append(value & _MASK32)
-        value >>= 32
-    return words
+def _n_words(value):
+    """Number of 32-bit words numpy splits a non-negative int into."""
+    return max(1, -(-value.bit_length() // 32))
 
 
 def _hashmix(value, hash_const):
@@ -67,22 +62,6 @@ def _hashmix(value, hash_const):
 def _mix(x, y):
     result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
     return result ^ (result >> _XSHIFT)
-
-
-def _fold(pool, hash_const, words):
-    """Mix ``words`` into a copy of ``pool``, one pass over the pool per word.
-
-    This is how ``SeedSequence.mix_entropy`` takes every entropy word past
-    the pool size, so a spawn key can be folded in one word at a time.
-    Returns the new pool and the running hash constant, which steps alike
-    whatever the word, so a word may also be a ``uint64`` column of words.
-    """
-    pool = list(pool)
-    for word in words:
-        for i in range(_POOL_SIZE):
-            value, hash_const = _hashmix(word, hash_const)
-            pool[i] = _mix(pool[i], value)
-    return tuple(pool), hash_const
 
 
 def _pcg64_words(pool):
@@ -123,21 +102,15 @@ class RngStream:
     ``substream(k)`` derives a child stream; children with distinct paths
     are independent. ``generator()`` always starts from the beginning of
     the stream, which is what makes samplers pure functions of the value.
-    The stream is numpy's ``PCG64(SeedSequence(seed, spawn_key=(stream_index,
-    *path)))`` bit for bit. The mixed ``SeedSequence`` pool of the stream's
-    own key is kept with it and handed down, so a substream folds in only
-    its own key word instead of hashing the seed and the whole key again.
-    A root's pool is numpy's own; only the per-key fold and the state
-    words use the copied constants, and the import check covers both.
-    ``seed``, ``stream_index`` and every path key, so every ``substream(k)``,
-    must be an integer >= 0; any other value is refused by name.
+    The stream is numpy's own ``PCG64(SeedSequence(seed, spawn_key=(
+    stream_index, *path)))``; the value holds nothing else. ``seed``,
+    ``stream_index`` and every path key, so every ``substream(k)``, must be
+    an integer >= 0; any other value is refused by name.
     """
 
     seed: int
     stream_index: int = 0
-    path: tuple = field(default=())
-    # (pool, hash constant) after the seed and the key; derived on first use
-    _pool: tuple = field(default=None, init=False, compare=False, repr=False)
+    path: tuple = ()
 
     def __post_init__(self):
         object.__setattr__(self, "seed", check_count("seed", self.seed))
@@ -147,48 +120,39 @@ class RngStream:
                            tuple(check_count("path key", k) for k in self.path))
 
     def substream(self, k):
-        k = check_count("substream key", k)
-        # the parent's fields are checked already, so the child's are set
-        # directly rather than through __init__, which checks every path key
-        child = object.__new__(RngStream)
-        child.__dict__.update(seed=self.seed, stream_index=self.stream_index,
-                              path=self.path + (k,),
-                              _pool=_fold(*self._mixed_pool(), _words(k)))
-        return child
+        return RngStream(self.seed, self.stream_index,
+                         self.path + (check_count("substream key", k),))
 
     def generator(self):
-        return _PCG64Seed(_pcg64_words(self._mixed_pool()[0])).generator()
-
-    def _mixed_pool(self):
-        if self._pool is None:
-            key = (self.stream_index, *self.path)
-            pool = np.random.SeedSequence(self.seed, spawn_key=key).pool
-            # numpy pads the seed to the pool size, then hashes every word
-            # once into each pool word, and each hash steps the constant by
-            # _MULT_A whatever the word
-            n_words = max(len(_words(self.seed)), _POOL_SIZE) + sum(
-                len(_words(k)) for k in key)
-            hash_const = _INIT_A * pow(_MULT_A, _POOL_SIZE * n_words,
-                                       _MASK32 + 1) & _MASK32
-            object.__setattr__(self, "_pool", (tuple(pool.tolist()), hash_const))
-        return self._pool
+        return np.random.Generator(np.random.PCG64(np.random.SeedSequence(
+            self.seed, spawn_key=(self.stream_index, *self.path))))
 
 
 def _substream_grid(rng, *axes):
     """Object array whose entry ``[i, j, ...]`` draws, as ``rng``, exactly
     what ``rng.substream(axes[0][i]).substream(axes[1][j])...`` draws.
 
-    Each axis is folded once, as a ``uint64`` column over the whole grid:
-    keys of one word step the hash constant alike. A key of 2**32 or more
-    does not, so a grid holding one is built child by child.
+    The fold starts from numpy's own pool of ``rng``. Each axis is then
+    mixed in once, as a ``uint64`` column over the whole grid, the way
+    ``SeedSequence.mix_entropy`` takes every entropy word past the pool
+    size: keys of one word step the hash constant alike. A key of 2**32 or
+    more does not, so a grid holding one is built child by child.
     """
     if any(key > _MASK32 for keys in axes for key in keys):
         children = [reduce(RngStream.substream, key, rng) for key in product(*axes)]
     else:
-        pool, hash_const = rng._mixed_pool()
+        key = (rng.stream_index, *rng.path)
+        pool = np.random.SeedSequence(rng.seed, spawn_key=key).pool.tolist()
+        # numpy pads the seed to the pool size, then hashes every word once
+        # into each pool word, and each hash steps the constant by _MULT_A
+        # whatever the word
+        n_words = max(_n_words(rng.seed), _POOL_SIZE) + sum(map(_n_words, key))
+        hash_const = _INIT_A * pow(_MULT_A, _POOL_SIZE * n_words, _MASK32 + 1) & _MASK32
         for column in np.meshgrid(*(np.array(keys, dtype=np.uint64) for keys in axes),
                                   indexing="ij"):
-            pool, hash_const = _fold(pool, hash_const, [column.ravel()])
+            for i in range(_POOL_SIZE):
+                value, hash_const = _hashmix(column.ravel(), hash_const)
+                pool[i] = _mix(pool[i], value)
         # PCG64 reads a stream's four words from contiguous memory
         children = [_PCG64Seed(words) for words in _pcg64_words(pool).T.copy()]
     grid = np.empty([len(keys) for keys in axes], dtype=object)
@@ -198,20 +162,16 @@ def _substream_grid(rng, *axes):
 
 def _check_seed_constants():
     """Fail on import if numpy's ``SeedSequence`` no longer mixes as the
-    per-key fold, the column fold of a grid and the state words do."""
+    column fold of a grid and its state words do."""
     seed, key, axes = 2**70 + 12345, (3, 2**40 + 7), ((0, 2**32 - 1), (5, 6, 7))
-    stream = RngStream(seed, key[0]).substream(key[1])
-    pool, _ = stream._mixed_pool()
-    ours = [_pcg64_words(pool)] + [c.words for c in _substream_grid(stream, *axes).flat]
-    theirs = [np.random.SeedSequence(seed, spawn_key=key + keys)
-              for keys in [()] + list(product(*axes))]
-    if not (pool == tuple(theirs[0].pool.tolist()) and all(
-            np.array_equal(words, seq.generate_state(4, np.uint64))
-            for words, seq in zip(ours, theirs))):
+    grid = _substream_grid(RngStream(seed, key[0], key[1:]), *axes)
+    if not all(np.array_equal(child.words, np.random.SeedSequence(
+            seed, spawn_key=key + keys).generate_state(4, np.uint64))
+            for child, keys in zip(grid.flat, product(*axes))):
         raise RuntimeError(
             f"numpy {np.__version__} mixes SeedSequence entropy differently "
-            "from ppmetrics.processes.RngStream, so its streams would not be "
-            "numpy's; the SeedSequence constants there need updating"
+            "from ppmetrics.processes._substream_grid, so its streams would "
+            "not be numpy's; the SeedSequence constants there need updating"
         )
 
 

@@ -26,8 +26,8 @@ from .geometry import (
     nn_distances,
     subset_enclosing_diameters,
 )
-from .metrics import MetricParams, _check_metric, _cutoff_checked, \
-    _dbar2_compare, _warn_cutoff, dbar1_pc, dbar2_empirical
+from .metrics import MetricParams, _as_pair, _check_metric, _dbar2, \
+    _dbar2_compare, _pair_matching, _warn_cutoff
 from .processes import UNIT_SQUARE, RngStream, _substream_grid, \
     sample_collection, sample_poisson_fkappa, sample_poisson_homogeneous
 
@@ -147,7 +147,8 @@ def lipschitz_ratio(statistic, pairs, params=MetricParams(), spec=None):
     """
     pairs = list(pairs)
     _warn_cutoff(params.cutoff)
-    dists = _cutoff_checked(lambda: [dbar1_pc(a, b, params, spec) for a, b in pairs])
+    dists = [_pair_matching(*_as_pair(a, b), params.order, params.cutoff, spec)[0]
+             for a, b in pairs]
     ratios = [abs(statistic(a) - statistic(b)) / d
               for (a, b), d in zip(pairs, dists) if d != 0.0]
     if not ratios:
@@ -208,7 +209,9 @@ def _monte_carlo(data, lam, params, n_null, alpha, rng, metric,
                  share_reference, window, early_stop, settle):
     """Null loop shared by :func:`homogeneity_test` and :func:`power_study`.
 
-    Returns ``(observed, nulls, rank, threshold)``. With ``settle=True``
+    ``data`` holds validated patterns of the window's dimension and ``lam``
+    is a positive real; nothing here validates or warns. Returns
+    ``(observed, nulls, rank, threshold)``. With ``settle=True``
     each null is only compared with the observed statistic by
     :func:`~ppmetrics.metrics._dbar2_compare`, which solves the full
     pattern matrix only when its bounds leave the comparison open, and
@@ -216,19 +219,13 @@ def _monte_carlo(data, lam, params, n_null, alpha, rng, metric,
     Null ``j`` draws pattern ``i`` from ``rng.substream(1 + j).substream(s)
     .substream(i)``, ``s = 1`` for a redrawn reference, seeded in blocks.
     """
-    data = [as_pattern(p, dim=window.dimension) for p in data]
-    if len(data) < 2:
-        raise ValueError("homogeneity test requires at least 2 patterns")
     n_patterns = len(data)
-    if lam is None:
-        lam = sum(len(p) for p in data) / n_patterns
-    lam = check_real("lam", lam, above=0)
 
     def poisson(stream):
         return sample_poisson_homogeneous(lam, window, stream)
 
     reference = sample_collection(n_patterns, poisson, rng.substream(0))
-    observed = dbar2_empirical(data, reference, params, None, metric)
+    observed = _dbar2(data, reference, params, None, metric)
     threshold = _rejection_threshold(alpha, n_null)
     sides = (0,) if share_reference else (0, 1)
     nulls = []
@@ -245,7 +242,7 @@ def _monte_carlo(data, lam, params, n_null, alpha, rng, metric,
         if settle:
             sign = _dbar2_compare(null_data, ref_i, observed, params, metric)
         else:
-            value = dbar2_empirical(null_data, ref_i, params, None, metric)
+            value = _dbar2(null_data, ref_i, params, None, metric)
             nulls.append(value)
             sign = (value > observed) - (value < observed)
         n_higher += sign > 0
@@ -267,7 +264,8 @@ def homogeneity_test(data, lam=None, params=MetricParams(), n_null=99,
     The observed statistic is the empirical pattern-distribution distance
     between the data collection and one simulated collection of homogeneous
     Poisson patterns with total intensity ``lam`` (estimated as the mean
-    observed count when not given). It is pooled with ``n_null`` statistics
+    observed count when not given; data without a point then raise
+    ``ValueError``). It is pooled with ``n_null`` statistics
     computed from simulated null collections against the *same* reference
     collection, which makes the pooled values exchangeable under the null
     and the test exactly sized. ``share_reference=False`` instead redraws
@@ -294,10 +292,21 @@ def homogeneity_test(data, lam=None, params=MetricParams(), n_null=99,
     the same result as with ``early_stop=False``.
     """
     _check_size(n_null, alpha)
+    _check_metric(metric)
+    data = [as_pattern(p, dim=window.dimension) for p in data]
+    if len(data) < 2:
+        raise ValueError("homogeneity test requires at least 2 patterns")
+    if lam is None:
+        lam = sum(len(p) for p in data) / len(data)
+        if lam == 0:
+            raise ValueError(
+                "lam was not given and cannot be estimated: the mean count is 0 "
+                "because no pattern has a point; pass lam (--lambda in the CLI)")
+    lam = check_real("lam", lam, above=0)
     _warn_cutoff(params.cutoff)
-    observed, nulls, rank, threshold = _cutoff_checked(
-        _monte_carlo, data, lam, params, n_null, alpha, rng, metric,
-        share_reference, window, early_stop, settle=False)
+    observed, nulls, rank, threshold = _monte_carlo(
+        data, lam, params, n_null, alpha, rng, metric, share_reference, window,
+        early_stop, settle=False)
     return TestResult(
         statistic=float(observed),
         null_statistics=tuple(float(v) for v in nulls),
@@ -324,10 +333,13 @@ def _power_replicate(rep, kappa, n_patterns, lam, params, n_null, alpha,
     data = sample_collection(n_patterns,
                              lambda s: sample_poisson_fkappa(lam, kappa, s),
                              stream.substream(0))
-    _, _, rank, threshold = _cutoff_checked(
-        _monte_carlo, data, lam if lam_known else None, params, n_null, alpha,
-        stream.substream(1), metric, share_reference, UNIT_SQUARE,
-        early_stop=True, settle=True)
+    test_lam = lam if lam_known else sum(len(p) for p in data) / n_patterns
+    if test_lam == 0:
+        # data without a point leave no intensity to estimate: no test, no rejection
+        return False
+    _, _, rank, threshold = _monte_carlo(
+        data, test_lam, params, n_null, alpha, stream.substream(1), metric,
+        share_reference, UNIT_SQUARE, early_stop=True, settle=True)
     return rank <= threshold
 
 
@@ -343,7 +355,9 @@ def power_study(kappa, n_patterns=12, lam=30.0, cutoff=1.0, reps=100,
     binomial standard error. ``lam`` is the generating total intensity; by
     default each test estimates the intensity from its own data (the
     test's behavior when none is supplied), with ``lam_known=True`` it is
-    handed the generating value instead. The tests use an independent
+    handed the generating value instead. A replicate whose data hold no
+    point has no intensity to estimate: with ``lam_known=False`` it counts
+    as not rejecting, which keeps the size at most ``alpha``. The tests use an independent
     reference pool per statistic (``share_reference=False``); this default
     pair is the design whose power table the study is calibrated against.
     The paired shared-reference design and the known-intensity variant are

@@ -253,6 +253,22 @@ def test_exit_code_domain_error(capsys, tmp_path):
     assert code == 4
 
 
+def test_test_without_points_or_lambda_asks_for_lambda(capsys, tmp_path):
+    data = tmp_path / "d.txt"
+    write_patterns(data, [np.empty((0, 2)), np.empty((0, 2))])
+    code = main(["test", str(data), "--null", "19", "--seed", "0"])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert "no pattern has a point" in err and "--lambda" in err
+
+
+def test_power_runs_when_a_replicate_draws_no_point(capsys):
+    # at lambda 0.5 about a third of the replicates hold no point at all
+    doc = run_json(capsys, "power", "--kappa", "1", "--lambda", "0.5",
+                   "--n-patterns", "2", "--reps", "20", "--null", "19")
+    assert [row["kappa"] for row in doc["rows"]] == [1.0]
+
+
 def test_exit_code_usage_error():
     # argparse exits with status 2 on unknown arguments
     proc = subprocess.run(

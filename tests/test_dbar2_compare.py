@@ -100,7 +100,7 @@ def test_dbar2_compare_settles_far_values_without_the_full_matrix(monkeypatch):
         raise AssertionError("the full pattern matrix was solved")
 
     monkeypatch.setattr(metrics, "_pair_matching", counted)
-    monkeypatch.setattr(metrics, "dbar2_empirical", refused)
+    monkeypatch.setattr(metrics, "_dbar2", refused)
     assert _dbar2_compare(ps, qs, 1.5 * exact, params) == -1
     assert len(solved) == 8
     solved.clear()

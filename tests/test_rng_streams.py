@@ -132,9 +132,9 @@ def test_constant_check_covers_the_grid_fold(monkeypatch):
 
 
 def test_seed_shim_refuses_other_state_requests():
-    seq = RngStream(1).generator().bit_generator.seed_seq
+    seq = processes._substream_grid(RngStream(1), (2,))[0]
     assert seq.generate_state(4, np.uint64).tolist() == np.random.SeedSequence(
-        1, spawn_key=(0,)).generate_state(4, np.uint64).tolist()
+        1, spawn_key=(0, 2)).generate_state(4, np.uint64).tolist()
     for n_words, dtype in ((8, np.uint64), (4, np.uint32)):
         with pytest.raises(ValueError):
             seq.generate_state(n_words, dtype)

@@ -191,24 +191,26 @@ def test_collection_paths_warn_once_per_call_above_cutoff_one(call):
         call(CUTOFF_1)
 
 
-def test_the_null_loop_still_calls_the_public_collection_functions(monkeypatch):
-    calls = {"dbar2_empirical": 0, "pattern_distance_matrix": 0}
+def test_the_null_loop_validates_only_the_data_and_warns_once(monkeypatch):
+    calls = {"_distance_matrix": 0, "metrics.as_pattern": 0, "statistics.as_pattern": 0}
 
-    def counted(module, name):
+    def counted(module, name, key):
         original = getattr(module, name)
 
         def wrapper(*args, **kwargs):
-            calls[name] += 1
+            calls[key] += 1
             return original(*args, **kwargs)
 
         monkeypatch.setattr(module, name, wrapper)
 
-    counted(statistics, "dbar2_empirical")
-    counted(metrics, "pattern_distance_matrix")
+    counted(metrics, "_distance_matrix", "_distance_matrix")
+    counted(metrics, "as_pattern", "metrics.as_pattern")
+    counted(statistics, "as_pattern", "statistics.as_pattern")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         statistics.homogeneity_test(DATA, params=CUTOFF_2, n_null=19)
-    assert calls == {"dbar2_empirical": 20, "pattern_distance_matrix": 20}
+    assert calls == {"_distance_matrix": 20, "metrics.as_pattern": 0,
+                     "statistics.as_pattern": len(DATA)}
     assert len(caught) == 1
 
 

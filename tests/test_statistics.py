@@ -444,6 +444,29 @@ def test_power_study_decisions_match_full_tests():
         assert est.power == sum(decisions) / reps
 
 
+def test_power_study_counts_a_replicate_without_points_as_not_rejecting():
+    kappa, n_patterns, lam, reps, n_null = 1.0, 2, 0.5, 20, 19
+    rng = RngStream(0)
+    decisions, empty = [], 0
+    for rep in range(reps):
+        stream = rng.substream(rep)
+        data = _tilted_data(n_patterns, lam, kappa, stream.substream(0))
+        if not any(len(p) for p in data):
+            # no intensity to estimate: homogeneity_test refuses such data
+            with pytest.raises(ValueError, match="no pattern has a point"):
+                homogeneity_test(data, n_null=n_null, rng=stream.substream(1))
+            empty += 1
+            continue
+        decisions.append(homogeneity_test(
+            data, n_null=n_null, rng=stream.substream(1),
+            share_reference=False).reject)
+    assert empty
+    for parallel in (False, True):
+        est = power_study(kappa, n_patterns=n_patterns, lam=lam, reps=reps,
+                          rng=rng, n_null=n_null, parallel=parallel)
+        assert est.power == sum(decisions) / reps
+
+
 def test_ustat_minball_arity3_equals_per_subset_welzl():
     pts = np.random.default_rng(90).random((12, 2))
     for cap in (1.0, 0.3):
