@@ -2,10 +2,14 @@
 transportation problem.
 
 Both solvers are deterministic and exact (up to floating-point summation).
-``min_cost_matching`` is the one matching kernel behind every pattern
-metric: it runs the O(m^2 n) shortest-augmenting-path solver from scipy
-directly on an m x n cost matrix (Crouse 2016) and charges a constant for
-each unmatched column. ``solve_assignment`` is its validated square form.
+``min_cost_matching`` charges a constant for each unmatched column of an m
+x n cost matrix and solves the rest in the package's compiled matching
+kernel (``_kernel.c``, loaded by :mod:`ppmetrics._kernel`): a C port of
+scipy's O(m^2 n) shortest-augmenting-path solver (Crouse 2016), warm-started
+by the row reduction of Jonker & Volgenant (1987), whose picked entries are
+summed exactly rounded, as ``math.fsum`` does. The same kernel solves every
+pattern pair of the metrics. ``solve_assignment`` is its validated square
+form.
 ``solve_transportation`` solves the Kantorovich primal in one pass of the
 HiGHS dual simplex (Huangfu & Hall 2018), with presolve off, and returns its
 basic solution clipped at 0: the marginals hold within HiGHS's primal
@@ -16,8 +20,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment, linprog
+from scipy.optimize import linprog
 from scipy.sparse import coo_matrix
+
+from . import _kernel
 
 __all__ = [
     "AssignmentResult",
@@ -68,14 +74,18 @@ def min_cost_matching(costs, fill):
     """Cheapest matching of every row of an m x n cost matrix, m <= n.
 
     Each row gets its own column and each of the ``n - m`` columns left
-    over costs ``fill``. Returns ``(total, rows, cols)`` with ``total =
-    fsum(costs[rows, cols]) + (n - m) * fill``, the optimum of the square
-    problem padded with ``n - m`` rows of ``fill``. ``costs`` must be a
-    finite nonnegative float matrix; it is not validated here.
+    over costs ``fill``. Returns ``(total, rows, cols)`` with ``rows =
+    arange(m)``, ``total = fsum(costs[rows, cols]) + (n - m) * fill``, the
+    optimum of the square problem padded with ``n - m`` rows of ``fill``.
+    ``costs`` must be a finite nonnegative matrix; only its shape is
+    validated here.
     """
-    m, n = costs.shape
-    rows, cols = linear_sum_assignment(costs)
-    return math.fsum(costs[rows, cols].tolist()) + (n - m) * fill, rows, cols
+    costs = np.asarray(costs, dtype=float)
+    if costs.ndim != 2 or costs.shape[0] > costs.shape[1]:
+        raise ValueError(f"cost must be an m x n matrix with m <= n, got shape "
+                         f"{costs.shape}")
+    total, cols = _kernel.min_cost_matching(costs, fill)
+    return total, np.arange(costs.shape[0]), cols
 
 
 def solve_assignment(cost):

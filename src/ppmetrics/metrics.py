@@ -8,13 +8,17 @@ counts. ``dbar1_pc`` generalizes to an order parameter ``p`` and a cutoff
 ``c``; note that it normalizes by ``1/n`` *outside* the p-th root, exactly
 as defined here (for ``p > 1`` this differs from the OSPA convention that
 puts ``1/n`` inside the root). Each of them is one rectangular assignment
-of the smaller pattern into the larger, solved by
-:func:`~ppmetrics.assignment.min_cost_matching`.
+of the smaller pattern into the larger. The compiled matching kernel
+(:mod:`ppmetrics._kernel`) builds its capped, powered costs, solves it and
+sums the picked costs exactly rounded, for one pair or, in one call, for
+every pair of two collections stacked into one point array with offsets.
 
 ``dbar2_empirical`` lifts the pattern distance to uniform empirical
 distributions of patterns, where the Wasserstein distance reduces to one
-pattern-level assignment problem; ``dRW`` is the analogous lift of the
-relative count difference ``dR`` to count distributions.
+pattern-level assignment problem, solved by
+:func:`~ppmetrics.assignment.min_cost_matching` on the same kernel; ``dRW``
+is the analogous lift of the relative count difference ``dR`` to count
+distributions.
 """
 
 import math
@@ -24,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
+from . import _kernel
 from .assignment import _check_transport_side, _check_weights, \
     min_cost_matching, solve_transportation
 from .errors import check_count, check_real
@@ -168,15 +173,13 @@ def _pair_matching(a, b, p, c, spec, metric="dbar1"):
     m, n = len(a), len(b)
     if metric == "d1" and m != n:
         return (c if spec is None else min(c, spec.cap)), None, None
-    costs = cdist(a, b) if m else np.empty((0, n))
-    if spec is not None:
-        np.minimum(costs, spec.cap, out=costs)
-    np.minimum(costs, c, out=costs)
-    if p != 1.0:
-        np.power(costs, p, out=costs)
-    total, rows, cols = min_cost_matching(costs, c ** p)
-    value = total ** (1.0 / p) / max(n, 1)
-    return (value, cols, rows) if swapped else (value, rows, cols)
+    value, match = _kernel.pair(a, b, p, c, _cap(spec), c ** p)
+    rows = np.arange(m)
+    return (value, match, rows) if swapped else (value, rows, match)
+
+
+def _cap(spec):
+    return math.inf if spec is None else spec.cap
 
 
 def d1(xi, eta, spec=GroundMetricSpec()):
@@ -275,6 +278,34 @@ def _as_collections(ps, qs, metric):
     return ps, qs
 
 
+class _Stack:
+    """Validated patterns of one dimension stacked in one float64 ``(total,
+    D)`` array, the collection layout of the matching kernel: pattern ``k``
+    is ``points[offsets[k]:offsets[k + 1]]``. An empty pattern, whatever
+    its own dimension, adds no point."""
+
+    __slots__ = ("points", "offsets", "counts")
+
+    def __init__(self, patterns):
+        self.counts = np.array([len(a) for a in patterns], dtype=np.intp)
+        self.offsets = np.zeros(len(patterns) + 1, dtype=np.intp)
+        np.cumsum(self.counts, out=self.offsets[1:])
+        full = [a for a in patterns if len(a)]
+        self.points = np.concatenate(full) if full else \
+            np.empty((0, patterns[0].shape[1] if patterns else 1))
+
+    def __len__(self):
+        return len(self.counts)
+
+    def __getitem__(self, k):
+        return self.points[self.offsets[k]:self.offsets[k + 1]]
+
+
+def _stack(patterns):
+    """``patterns`` as a :class:`_Stack`, built once."""
+    return patterns if isinstance(patterns, _Stack) else _Stack(patterns)
+
+
 def pattern_distance_matrix(ps, qs, params=MetricParams(), spec=None, metric="dbar1"):
     """Matrix of pairwise pattern distances between two collections."""
     ps, qs = _as_collections(ps, qs, metric)
@@ -283,13 +314,14 @@ def pattern_distance_matrix(ps, qs, params=MetricParams(), spec=None, metric="db
 
 
 def _distance_matrix(ps, qs, params, spec, metric):
-    """``pattern_distance_matrix`` of two validated collections."""
+    """``pattern_distance_matrix`` of two validated collections, lists or
+    stacks, in one kernel call: entry ``(i, j)`` is
+    ``_pair_matching(ps[i], qs[j], ...)[0]``."""
+    ps, qs = _stack(ps), _stack(qs)
     p, c = params.order, params.cutoff
-    out = np.empty((len(ps), len(qs)))
-    for i, a in enumerate(ps):
-        for j, b in enumerate(qs):
-            out[i, j] = _pair_matching(a, b, p, c, spec, metric)[0]
-    return out
+    dim = (ps if len(ps.points) else qs).points.shape[1]
+    return _kernel.matrix(ps.points, ps.offsets, qs.points, qs.offsets, dim,
+                          p, c, _cap(spec), c ** p, metric == "d1")
 
 
 def _check_equal_sizes(ps, qs):
@@ -349,17 +381,16 @@ def _pair_lower_bounds(ps, qs, p, c, metric):
     points left over in the larger pattern costs ``c ** p`` exactly. So
     the pair's matching total is at least the larger of the two patterns'
     sums of those costs, the smaller pattern's plus ``(n - m) * c ** p``.
-    All nearest distances come from one ``cdist`` of the stacked
-    collections. ``d1`` at unequal counts is the cutoff itself.
+    All nearest distances come from one ``cdist`` of the two stacks' points.
+    ``d1`` at unequal counts is the cutoff itself.
     """
-    dim = common_dimension(*ps, *qs)
-    stacked = [np.concatenate([a for a in side if len(a)] or [np.empty((0, dim))])
-               for side in (ps, qs)]
-    dist = cdist(*stacked) if all(len(s) for s in stacked) else \
-        np.empty((len(stacked[0]), len(stacked[1])))
+    ps, qs = _stack(ps), _stack(qs)
+    if len(ps.points) and len(qs.points):
+        dist = cdist(ps.points, qs.points)
+    else:
+        dist = np.empty((len(ps.points), len(qs.points)))
     fill = c ** p
-    m = np.array([len(a) for a in ps])
-    n = np.array([len(b) for b in qs])
+    m, n = ps.counts, qs.counts
     excess = n - m[:, None]
     total = np.maximum(
         _nearest_sums(dist, m, n, p, c) + np.maximum(excess, 0) * fill,
@@ -377,11 +408,12 @@ _SETTLE_MARGIN = 1e-9
 def _dbar2_compare(ps, qs, value, params=MetricParams(), metric="dbar1"):
     """Sign of ``dbar2_empirical(ps, qs, params, None, metric) - value``.
 
-    The patterns must be validated; only the sizes and the metric name are
-    checked, and nothing warns. Returns -1, 0 or +1, and solves pattern
-    pairs only as far as the sign needs. Any pairing of the collections costs at least the optimal one,
-    so the mean exact distance over one pairing, both sides sorted by
-    count, is an upper bound. The matrix then holds those exact entries
+    The collections, lists or stacks, must be validated; only the sizes and
+    the metric name are checked, and nothing warns. Returns -1, 0 or +1,
+    and solves pattern pairs only as far as the sign needs. Any pairing of
+    the collections costs at least the optimal one, so the mean exact
+    distance over one pairing, both sides sorted by count, is an upper
+    bound. The matrix then holds those exact entries
     and :func:`_pair_lower_bounds` elsewhere. Each round takes its optimal
     pairing, whose mean is a lower bound, and makes that pairing's entries
     exact, which gives a new upper bound. A bound settles the sign only
@@ -393,10 +425,11 @@ def _dbar2_compare(ps, qs, value, params=MetricParams(), metric="dbar1"):
     """
     _check_equal_sizes(ps, qs)
     _check_metric(metric)
+    ps, qs = _stack(ps), _stack(qs)
     p, c, size = params.order, params.cutoff, len(ps)
     above, below = value * (1 + _SETTLE_MARGIN), value * (1 - _SETTLE_MARGIN)
-    rows = np.argsort([len(a) for a in ps], kind="stable")
-    cols = np.argsort([len(b) for b in qs], kind="stable")
+    rows = np.argsort(ps.counts, kind="stable")
+    cols = np.argsort(qs.counts, kind="stable")
     upper = [_pair_matching(ps[i], qs[j], p, c, None, metric)[0]
              for i, j in zip(rows, cols)]
     if math.fsum(upper) / size < below:

@@ -223,7 +223,12 @@ def uniform_sampler(window=UNIT_SQUARE):
 
 def sample_poisson_homogeneous(lambda_total, window=UNIT_SQUARE, rng=RngStream(0)):
     """Homogeneous Poisson process: Poisson(lambda_total) count, uniform points."""
-    lambda_total = check_real("lambda_total", lambda_total, above=0)
+    return _sample_poisson(check_real("lambda_total", lambda_total, above=0),
+                           window, rng)
+
+
+def _sample_poisson(lambda_total, window, rng):
+    """``sample_poisson_homogeneous`` of a positive float ``lambda_total``."""
     gen = rng.generator()
     n = int(gen.poisson(lambda_total))
     return window.sample_uniform(n, gen)

@@ -27,9 +27,9 @@ from .geometry import (
     subset_enclosing_diameters,
 )
 from .metrics import MetricParams, _as_pair, _check_metric, _dbar2, \
-    _dbar2_compare, _pair_matching, _warn_cutoff
-from .processes import UNIT_SQUARE, RngStream, _substream_grid, \
-    sample_collection, sample_poisson_fkappa, sample_poisson_homogeneous
+    _dbar2_compare, _pair_matching, _Stack, _warn_cutoff
+from .processes import UNIT_SQUARE, RngStream, _sample_poisson, _substream_grid, \
+    sample_collection, sample_poisson_fkappa
 
 __all__ = [
     "KernelSpec",
@@ -210,7 +210,8 @@ def _monte_carlo(data, lam, params, n_null, alpha, rng, metric,
     """Null loop shared by :func:`homogeneity_test` and :func:`power_study`.
 
     ``data`` holds validated patterns of the window's dimension and ``lam``
-    is a positive real; nothing here validates or warns. Returns
+    is a positive float; nothing here validates or warns. The shared
+    reference is stacked once, and each null as it is drawn. Returns
     ``(observed, nulls, rank, threshold)``. With ``settle=True``
     each null is only compared with the observed statistic by
     :func:`~ppmetrics.metrics._dbar2_compare`, which solves the full
@@ -221,10 +222,10 @@ def _monte_carlo(data, lam, params, n_null, alpha, rng, metric,
     """
     n_patterns = len(data)
 
-    def poisson(stream):
-        return sample_poisson_homogeneous(lam, window, stream)
+    def poisson(streams):
+        return _Stack([_sample_poisson(lam, window, stream) for stream in streams])
 
-    reference = sample_collection(n_patterns, poisson, rng.substream(0))
+    reference = poisson(rng.substream(0).substream(i) for i in range(n_patterns))
     observed = _dbar2(data, reference, params, None, metric)
     threshold = _rejection_threshold(alpha, n_null)
     sides = (0,) if share_reference else (0, 1)
@@ -236,9 +237,8 @@ def _monte_carlo(data, lam, params, n_null, alpha, rng, metric,
                 rng, range(1 + n_drawn, 1 + min(n_drawn + _NULL_BLOCK, n_null)),
                 sides, range(n_patterns))
         streams = block[n_drawn % _NULL_BLOCK]
-        null_data = [poisson(stream) for stream in streams[0]]
-        ref_i = reference if share_reference else [
-            poisson(stream) for stream in streams[1]]
+        null_data = poisson(streams[0])
+        ref_i = reference if share_reference else poisson(streams[1])
         if settle:
             sign = _dbar2_compare(null_data, ref_i, observed, params, metric)
         else:

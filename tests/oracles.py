@@ -3,13 +3,16 @@
 Everything here is deliberately naive: exhaustive enumeration over
 permutations, injections, transportation-polytope vertices, and candidate
 enclosing circles. The oracles never share code with the implementation
-paths they check.
+paths they check. scipy's ``linear_sum_assignment`` lives here only, as the
+reference for the package's compiled matching kernel.
 """
 
 import itertools
 import math
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
+from scipy.spatial.distance import cdist
 
 
 def brute_force_assignment(cost):
@@ -24,6 +27,39 @@ def brute_force_assignment(cost):
             best = total
             best_perm = perm
     return best, best_perm
+
+
+def brute_force_matching(costs, fill):
+    """Cheapest injection of the rows of an m x n matrix (m <= n) into its
+    columns, each free column costing ``fill``: ``fsum`` of the picked
+    entries plus ``(n - m) * fill``, minimised over all n!/(n-m)! of them."""
+    m, n = costs.shape
+    best = min(math.fsum(costs[i, j] for i, j in enumerate(cols))
+               for cols in itertools.permutations(range(n), m))
+    return best + (n - m) * fill
+
+
+def lsa_matching(costs, fill):
+    """``brute_force_matching`` through scipy's ``linear_sum_assignment``."""
+    m, n = costs.shape
+    rows, cols = linear_sum_assignment(costs)
+    return math.fsum(costs[rows, cols].tolist()) + (n - m) * fill
+
+
+def lsa_pair_distance(a, b, p, c, cap=None):
+    """The ``(p, c)`` pattern distance as ppmetrics computed it with scipy:
+    ``cdist``, the caps, numpy's ``power``, ``linear_sum_assignment`` on the
+    smaller pattern's rows, and ``fsum`` of the picked costs."""
+    if len(a) > len(b):
+        a, b = b, a
+    m, n = len(a), len(b)
+    costs = cdist(a, b) if m else np.empty((0, n))
+    if cap is not None:
+        np.minimum(costs, cap, out=costs)
+    np.minimum(costs, c, out=costs)
+    if p != 1.0:
+        np.power(costs, p, out=costs)
+    return lsa_matching(costs, c ** p) ** (1.0 / p) / max(n, 1)
 
 
 def brute_force_transportation(source, target, cost):
