@@ -128,9 +128,10 @@ static intptr_t augmenting_path(intptr_t nc, const double *cost, work_t *w,
     while (sink == -1) {
         /* distinct workspace arrays: no store in the scan reloads the rest */
         const double *restrict row = cost + i * nc, *restrict v = w->v;
-        const intptr_t *restrict row4col = w->row4col, *restrict remaining = w->remaining;
+        const intptr_t *restrict row4col = w->row4col;
         double *restrict dist = w->dist;
-        intptr_t *restrict path = w->path, index = -1, j;
+        intptr_t *restrict path = w->path, *restrict remaining = w->remaining;
+        intptr_t index = -1, j;
         double lowest = INFINITY, ui = w->u[i];
         w->rows_seen[(*n_rows)++] = i;
         for (it = 0; it < num_remaining; it++) {
@@ -153,13 +154,13 @@ static intptr_t augmenting_path(intptr_t nc, const double *cost, work_t *w,
         min_val = lowest;
         if (min_val == INFINITY)
             return -1;
-        j = w->remaining[index];
-        if (w->row4col[j] == -1)
+        j = remaining[index];
+        if (row4col[j] == -1)
             sink = j;
         else
-            i = w->row4col[j];
+            i = row4col[j];
         w->cols_seen[(*n_cols)++] = j;
-        w->remaining[index] = w->remaining[--num_remaining];
+        remaining[index] = remaining[--num_remaining];
     }
     *p_min = min_val;
     return sink;

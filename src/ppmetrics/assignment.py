@@ -77,13 +77,16 @@ def min_cost_matching(costs, fill):
     over costs ``fill``. Returns ``(total, rows, cols)`` with ``rows =
     arange(m)``, ``total = fsum(costs[rows, cols]) + (n - m) * fill``, the
     optimum of the square problem padded with ``n - m`` rows of ``fill``.
-    ``costs`` must be a finite nonnegative matrix; only its shape is
-    validated here.
+    ``costs`` must be a finite matrix and ``fill`` a finite number. The
+    package's own callers hold validated matrices and call the kernel
+    directly.
     """
     costs = np.asarray(costs, dtype=float)
     if costs.ndim != 2 or costs.shape[0] > costs.shape[1]:
         raise ValueError(f"cost must be an m x n matrix with m <= n, got shape "
                          f"{costs.shape}")
+    if not (np.isfinite(costs).all() and math.isfinite(fill)):
+        raise ValueError("cost matrix or fill contains NaN or infinite entries")
     total, cols = _kernel.min_cost_matching(costs, fill)
     return total, np.arange(costs.shape[0]), cols
 
@@ -97,9 +100,7 @@ def solve_assignment(cost):
     affect the total cost.
     """
     arr = _validate_costs(cost, square=True)
-    total, rows, cols = min_cost_matching(arr, 0.0)
-    perm = np.empty(arr.shape[0], dtype=np.intp)
-    perm[rows] = cols
+    total, perm = _kernel.min_cost_matching(arr, 0.0)
     return AssignmentResult(permutation=perm, total_cost=total)
 
 

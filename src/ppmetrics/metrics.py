@@ -15,8 +15,7 @@ every pair of two collections stacked into one point array with offsets.
 
 ``dbar2_empirical`` lifts the pattern distance to uniform empirical
 distributions of patterns, where the Wasserstein distance reduces to one
-pattern-level assignment problem, solved by
-:func:`~ppmetrics.assignment.min_cost_matching` on the same kernel; ``dRW``
+pattern-level assignment problem, solved on the same kernel; ``dRW``
 is the analogous lift of the relative count difference ``dR`` to count
 distributions.
 """
@@ -30,7 +29,7 @@ from scipy.spatial.distance import cdist
 
 from . import _kernel
 from .assignment import _check_transport_side, _check_weights, \
-    min_cost_matching, solve_transportation
+    solve_transportation
 from .errors import check_count, check_real
 from .geometry import GroundMetricSpec, as_pattern, common_dimension, \
     pairwise_ground_distances
@@ -270,12 +269,13 @@ def dRW(mu, nu):
 
 
 def _as_collections(ps, qs, metric):
+    """Two validated nonempty collections of a common dimension, stacked."""
     _check_metric(metric)
     ps, qs = [as_pattern(a) for a in ps], [as_pattern(b) for b in qs]
     if not (ps and qs):
         raise ValueError("a pattern collection must contain at least one pattern")
     common_dimension(*ps, *qs)
-    return ps, qs
+    return _Stack(ps), _Stack(qs)
 
 
 class _Stack:
@@ -302,7 +302,8 @@ class _Stack:
 
 
 def _stack(patterns):
-    """``patterns`` as a :class:`_Stack`, built once."""
+    """``patterns``, a list of validated patterns or a stack, as a
+    :class:`_Stack`."""
     return patterns if isinstance(patterns, _Stack) else _Stack(patterns)
 
 
@@ -314,10 +315,8 @@ def pattern_distance_matrix(ps, qs, params=MetricParams(), spec=None, metric="db
 
 
 def _distance_matrix(ps, qs, params, spec, metric):
-    """``pattern_distance_matrix`` of two validated collections, lists or
-    stacks, in one kernel call: entry ``(i, j)`` is
-    ``_pair_matching(ps[i], qs[j], ...)[0]``."""
-    ps, qs = _stack(ps), _stack(qs)
+    """``pattern_distance_matrix`` of two stacks in one kernel call: entry
+    ``(i, j)`` is ``_pair_matching(ps[i], qs[j], ...)[0]``."""
     p, c = params.order, params.cutoff
     dim = (ps if len(ps.points) else qs).points.shape[1]
     return _kernel.matrix(ps.points, ps.offsets, qs.points, qs.offsets, dim,
@@ -346,8 +345,9 @@ def dbar2_empirical(ps, qs, params=MetricParams(), spec=None, metric="dbar1"):
 
 
 def _dbar2(ps, qs, params, spec, metric):
-    """``dbar2_empirical`` of two validated collections of equal size."""
-    total, _, _ = min_cost_matching(_distance_matrix(ps, qs, params, spec, metric), 0.0)
+    """``dbar2_empirical`` of two stacks of equal size."""
+    total, _ = _kernel.min_cost_matching(
+        _distance_matrix(ps, qs, params, spec, metric), 0.0)
     return total / len(ps)
 
 
@@ -438,8 +438,9 @@ def _dbar2_compare(ps, qs, value, params=MetricParams(), metric="dbar1"):
     costs[rows, cols] = upper
     known = np.zeros(costs.shape, dtype=bool)
     known[rows, cols] = True
+    rows = np.arange(size)
     while True:
-        lower, rows, cols = min_cost_matching(costs, 0.0)
+        lower, cols = _kernel.min_cost_matching(costs, 0.0)
         if lower / size > above:
             return 1
         new = ~known[rows, cols]
@@ -486,5 +487,5 @@ def dW_empirical(xs, ys, spec=GroundMetricSpec()):
         raise ValueError(f"sample sizes differ: {n} vs {m}")
     if n == 0:
         raise ValueError("samples must be nonempty")
-    total, _, _ = min_cost_matching(costs, 0.0)
+    total, _ = _kernel.min_cost_matching(costs, 0.0)
     return total / n

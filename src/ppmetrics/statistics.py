@@ -210,8 +210,8 @@ def _monte_carlo(data, lam, params, n_null, alpha, rng, metric,
     """Null loop shared by :func:`homogeneity_test` and :func:`power_study`.
 
     ``data`` holds validated patterns of the window's dimension and ``lam``
-    is a positive float; nothing here validates or warns. The shared
-    reference is stacked once, and each null as it is drawn. Returns
+    is a positive float; nothing here validates or warns. The data and the
+    shared reference are stacked once, and each null as it is drawn. Returns
     ``(observed, nulls, rank, threshold)``. With ``settle=True``
     each null is only compared with the observed statistic by
     :func:`~ppmetrics.metrics._dbar2_compare`, which solves the full
@@ -222,11 +222,11 @@ def _monte_carlo(data, lam, params, n_null, alpha, rng, metric,
     """
     n_patterns = len(data)
 
-    def poisson(streams):
-        return _Stack([_sample_poisson(lam, window, stream) for stream in streams])
+    def draw(stream):
+        return _sample_poisson(lam, window, stream)
 
-    reference = poisson(rng.substream(0).substream(i) for i in range(n_patterns))
-    observed = _dbar2(data, reference, params, None, metric)
+    reference = _Stack(sample_collection(n_patterns, draw, rng.substream(0)))
+    observed = _dbar2(_Stack(data), reference, params, None, metric)
     threshold = _rejection_threshold(alpha, n_null)
     sides = (0,) if share_reference else (0, 1)
     nulls = []
@@ -237,8 +237,9 @@ def _monte_carlo(data, lam, params, n_null, alpha, rng, metric,
                 rng, range(1 + n_drawn, 1 + min(n_drawn + _NULL_BLOCK, n_null)),
                 sides, range(n_patterns))
         streams = block[n_drawn % _NULL_BLOCK]
-        null_data = poisson(streams[0])
-        ref_i = reference if share_reference else poisson(streams[1])
+        null_data = _Stack([draw(stream) for stream in streams[0]])
+        ref_i = reference if share_reference else _Stack(
+            [draw(stream) for stream in streams[1]])
         if settle:
             sign = _dbar2_compare(null_data, ref_i, observed, params, metric)
         else:

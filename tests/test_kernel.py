@@ -57,6 +57,26 @@ def test_min_cost_matching_refuses_more_rows_than_columns():
         min_cost_matching(np.zeros((3, 2)), 1.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, -math.inf, math.inf])
+def test_min_cost_matching_refuses_non_finite_entries(bad):
+    # a NaN would act as a forbidden edge: [[1, nan], [1, 2]] would total 3
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        min_cost_matching(np.array([[1.0, bad], [1.0, 2.0]]), 0.0)
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        min_cost_matching(np.ones((1, 2)), bad)
+
+
+def test_min_cost_matching_of_negative_entries_equals_the_oracles():
+    gen = np.random.default_rng(3)
+    for _ in range(50):
+        m = int(gen.integers(0, 6))
+        costs = gen.normal(size=(m, int(gen.integers(m, 7))))
+        total, _, _ = min_cost_matching(costs, -0.5)
+        best = lsa_matching(costs, -0.5)
+        assert abs(total - best) <= 1e-12 * max(1.0, abs(best))
+        assert abs(total - brute_force_matching(costs, -0.5)) <= 1e-12 * max(1.0, abs(best))
+
+
 @pytest.mark.parametrize("order", [1.0, 2.0])
 @pytest.mark.parametrize("cutoff", [0.05, 0.3, 1.0])
 def test_pair_values_are_bit_identical_to_scipy_on_random_patterns(order, cutoff):
