@@ -11,8 +11,11 @@
  * the rectangular optimum holds.  Totals are summed exactly rounded, as
  * CPython's math.fsum does.
  *
+ * There are two entries: ppm_min_cost_matching solves one cost matrix, and
+ * ppm_pairs solves a list of pattern pairs of two stacked collections, one
+ * pair, every pair of a distance matrix or the pairs of a compare round.
  * Arrays are C-contiguous; indices are intptr_t (numpy's intp).  Each entry
- * reports one of the PPM_* codes below on failure.  Build with -ffp-contract=off,
+ * returns 0 or one of the PPM_* codes below.  Build with -ffp-contract=off,
  * so that no multiply-add is fused and the ground costs round as numpy's.
  */
 #include <math.h>
@@ -267,22 +270,6 @@ static void ground_costs(const double *a, intptr_t m, const double *b, intptr_t 
     }
 }
 
-/* Pattern distance of a (m points) and b (n points), m <= n, into value;
- * col4row[k] is the point of b matched to point k of a. */
-static int pair_value(const double *a, intptr_t m, const double *b, intptr_t n,
-                      intptr_t dim, double p, double c, double cap, double fill,
-                      work_t *w, double *value)
-{
-    double total;
-    int status;
-    ground_costs(a, m, b, n, dim, p, c, cap, w->costs);
-    status = solve_total(m, n, w->costs, fill, w, &total);
-    if (status)
-        return status;
-    *value = pow(total, 1.0 / p) / (double)(n > 1 ? n : 1);
-    return 0;
-}
-
 /* Optimal matching of every row of the m x n matrix cost, m <= n, each of
  * the n - m free columns costing fill: cols[i] is the column of row i. */
 int ppm_min_cost_matching(const double *cost, intptr_t m, intptr_t n, double fill,
@@ -300,57 +287,56 @@ int ppm_min_cost_matching(const double *cost, intptr_t m, intptr_t n, double fil
     return status;
 }
 
-/* Pattern distance of a (m points) and b (n >= m points) in dimension dim,
- * with fill = c ** p; match[k] is the point of b matched to point k of a.
- * Returns the distance, which is never negative, or minus a status. */
-double ppm_pair(const double *a, intptr_t m, const double *b, intptr_t n,
-                intptr_t dim, double p, double c, double cap, double fill,
-                intptr_t *match)
+/* Pattern distances of count pattern pairs of two stacked collections, where
+ * pattern k of a collection is points[off[k]:off[k + 1]] of its (total, dim)
+ * array: pair t is pattern rows[t] of xs (m points) and pattern cols[t] of ys
+ * (n points), and values[t] its distance, with fill = c ** p.  The smaller
+ * pattern is matched into the larger.  match holds max(m, n) rows (i, j) per
+ * pair, pair after pair, one per point of the larger pattern: point i of the
+ * xs pattern is paired with point j of the ys pattern, and -1 marks a point
+ * left unmatched.  With d1 set, patterns of different counts are at
+ * min(c, cap) and not paired: every row of theirs is (-1, -1). */
+int ppm_pairs(const double *xs, const intptr_t *xoff, const double *ys,
+              const intptr_t *yoff, intptr_t dim, const intptr_t *rows,
+              const intptr_t *cols, intptr_t count, double p, double c,
+              double cap, int d1, double *values, intptr_t *match)
 {
     work_t w;
-    intptr_t k;
-    double value;
-    int status;
-    if (work_alloc(&w, m, n, m * n))
-        return -PPM_NO_MEMORY;
-    status = pair_value(a, m, b, n, dim, p, c, cap, fill, &w, &value);
-    for (k = 0; !status && k < m; k++)
-        match[k] = w.col4row[k];
-    free(w.block);
-    return status ? -status : value;
-}
-
-/* out[i, j] = distance of pattern i of xs and pattern j of ys, where pattern
- * k of a collection is points[off[k]:off[k + 1]] of its (total, dim) array.
- * With d1 set, patterns of different counts are at min(c, cap). */
-int ppm_matrix(const double *xs, const intptr_t *xoff, intptr_t nx,
-               const double *ys, const intptr_t *yoff, intptr_t ny, intptr_t dim,
-               double p, double c, double cap, double fill, int d1, double *out)
-{
-    work_t w;
-    intptr_t i, j, most_x = 0, most_y = 0, most;
+    intptr_t t, k, most_x = 0, most_y = 0, most;
+    double fill = pow(c, p), total;
     int status = 0;
-    for (i = 0; i < nx; i++)
-        if (xoff[i + 1] - xoff[i] > most_x)
-            most_x = xoff[i + 1] - xoff[i];
-    for (j = 0; j < ny; j++)
-        if (yoff[j + 1] - yoff[j] > most_y)
-            most_y = yoff[j + 1] - yoff[j];
+    for (t = 0; t < count; t++) {
+        const intptr_t *x = xoff + rows[t], *y = yoff + cols[t];
+        most_x = x[1] - x[0] > most_x ? x[1] - x[0] : most_x;
+        most_y = y[1] - y[0] > most_y ? y[1] - y[0] : most_y;
+    }
     most = most_x > most_y ? most_x : most_y;
     if (work_alloc(&w, most, most, most_x * most_y))
         return PPM_NO_MEMORY;
-    for (i = 0; !status && i < nx; i++) {
-        for (j = 0; !status && j < ny; j++) {
-            const double *a = xs + xoff[i] * dim, *b = ys + yoff[j] * dim;
-            intptr_t m = xoff[i + 1] - xoff[i], n = yoff[j + 1] - yoff[j];
-            double *value = out + i * ny + j;
-            if (d1 && m != n)
-                *value = c < cap ? c : cap;
-            else if (m <= n)
-                status = pair_value(a, m, b, n, dim, p, c, cap, fill, &w, value);
-            else
-                status = pair_value(b, n, a, m, dim, p, c, cap, fill, &w, value);
+    for (t = 0; !status && t < count; t++) {
+        const intptr_t *x = xoff + rows[t], *y = yoff + cols[t];
+        const double *a = xs + x[0] * dim, *b = ys + y[0] * dim;
+        intptr_t m = x[1] - x[0], n = y[1] - y[0];
+        int swap = m > n;
+        intptr_t small = swap ? n : m, large = swap ? m : n;
+        if (d1 && m != n) {
+            values[t] = c < cap ? c : cap;
+            for (k = 0; k < 2 * large; k++)
+                match[k] = -1;
+        } else {
+            ground_costs(swap ? b : a, small, swap ? a : b, large, dim, p, c, cap,
+                         w.costs);
+            status = solve_total(small, large, w.costs, fill, &w, &total);
+            if (!status)
+                values[t] = pow(total, 1.0 / p) / (double)(large > 1 ? large : 1);
+            /* row4col[k] is the point of the smaller pattern matched to
+             * point k of the larger */
+            for (k = 0; !status && k < large; k++) {
+                match[2 * k + swap] = w.row4col[k];
+                match[2 * k + !swap] = k;
+            }
         }
+        match += 2 * large;
     }
     free(w.block);
     return status;

@@ -10,8 +10,10 @@ to a temporary name and is renamed into place, so concurrent first imports
 leave one whole library. Without a compiler the import fails with an
 ``ImportError`` that says so.
 
-The functions below are the only callers of the library: they pass the
-arrays and turn a failure status into an exception.
+The two functions below are the only callers of the library, one per
+entry: :func:`min_cost_matching` solves one cost matrix, and :func:`pairs`
+a list of pattern pairs of two stacked collections. They check and pass
+the arrays and turn a failure status into an exception.
 """
 
 import ctypes
@@ -106,11 +108,9 @@ def _declare(lib):
     ptr, size, real = ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_double
     lib.ppm_min_cost_matching.argtypes = [ptr, size, size, real, ptr, ptr]
     lib.ppm_min_cost_matching.restype = ctypes.c_int
-    lib.ppm_pair.argtypes = [ptr, size, ptr, size, size, real, real, real, real, ptr]
-    lib.ppm_pair.restype = real
-    lib.ppm_matrix.argtypes = [ptr, ptr, size, ptr, ptr, size, size, real, real,
-                               real, real, ctypes.c_int, ptr]
-    lib.ppm_matrix.restype = ctypes.c_int
+    lib.ppm_pairs.argtypes = [ptr, ptr, ptr, ptr, size, ptr, ptr, size, real, real,
+                              real, ctypes.c_int, ptr, ptr]
+    lib.ppm_pairs.restype = ctypes.c_int
     return lib
 
 
@@ -127,7 +127,10 @@ def _check(status):
 # passes as pointers to their buffers: a copy of a pattern costs far less
 # than ``ndarray.ctypes``, and it is C-contiguous whatever the input's
 # layout. Before a call, every buffer's size is checked against the counts
-# the kernel will read it by. Outputs are ctypes arrays viewed by numpy.
+# the kernel will read it by, and every index against the range it indexes.
+# The outputs of ``min_cost_matching`` are ctypes arrays viewed by numpy;
+# those of ``pairs`` are numpy arrays, because their lengths vary from call
+# to call and ctypes builds a new array type for each new length.
 
 def _points(x, count, dim):
     data = x.tobytes()
@@ -149,27 +152,32 @@ def min_cost_matching(costs, fill):
     return total.value, np.frombuffer(cols, dtype=np.intp)
 
 
-def pair(a, b, p, c, cap, fill):
-    """``(value, match)`` of the float64 patterns ``a`` and ``b``, ``len(a)
-    <= len(b)``, with point ``k`` of ``a`` matched to point ``match[k]`` of
-    ``b``; ``fill`` is ``c ** p``."""
-    m, (n, dim) = len(a), b.shape
-    match = (ctypes.c_ssize_t * m)()
-    value = _lib.ppm_pair(_points(a, m, dim), m, _points(b, n, dim), n, dim,
-                          p, c, cap, fill, match)
-    if value < 0:
-        _check(int(-value))
-    return value, np.frombuffer(match, dtype=np.intp)
-
-
-def matrix(xs, x_offsets, ys, y_offsets, dim, p, c, cap, fill, d1):
-    """Values of every pair of patterns of two stacked collections: pattern
-    ``k`` of the first is ``xs[x_offsets[k]:x_offsets[k + 1]]``, and
-    likewise for the second; the offsets are ascending intp from 0."""
-    out = np.empty((len(x_offsets) - 1, len(y_offsets) - 1))
-    _check(_lib.ppm_matrix(
-        _points(xs, x_offsets[-1], dim), x_offsets.astype(np.intp).tobytes(),
-        out.shape[0], _points(ys, y_offsets[-1], dim),
-        y_offsets.astype(np.intp).tobytes(), out.shape[1], dim, p, c, cap, fill,
-        d1, out.ctypes.data))
-    return out
+def pairs(xs, ys, rows, cols, p, c, cap, d1):
+    """``(values, match)`` of the pattern pairs ``(rows[t], cols[t])`` of the
+    stacked collections ``xs`` and ``ys``. A stack holds float64 ``points``,
+    ascending intp ``offsets`` from 0 and the ``counts`` between them, and
+    its pattern ``k`` is ``points[offsets[k]:offsets[k + 1]]``. ``values[t]``
+    is the distance of pair ``t``, with ``fill = c ** p``. ``match`` holds,
+    pair after pair, ``max(m, n)`` rows ``(i, j)``: point ``i`` of the ``xs``
+    pattern is paired with point ``j`` of the ``ys`` pattern, and -1 marks a
+    point left unmatched. With ``d1`` set, a pair of different counts is not
+    paired: its value is ``min(c, cap)`` and its rows are ``(-1, -1)``."""
+    rows, cols = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
+    if rows.ndim != 1 or rows.shape != cols.shape:
+        raise ValueError(f"rows and cols must be index vectors of one length, "
+                         f"got shapes {rows.shape} and {cols.shape}")
+    sizes = len(xs.counts), len(ys.counts)
+    try:  # refuses an index out of range, a negative one too
+        np.ravel_multi_index((rows, cols), sizes)
+    except ValueError:
+        raise ValueError(f"pattern indices must lie in [0, {sizes[0]}) for rows "
+                         f"and [0, {sizes[1]}) for cols") from None
+    dim = (xs if len(xs.points) else ys).points.shape[1]
+    slots = int(np.maximum(xs.counts[rows], ys.counts[cols]).sum())
+    values, match = np.empty(len(rows)), np.empty((slots, 2), dtype=np.intp)
+    _check(_lib.ppm_pairs(
+        _points(xs.points, xs.offsets[-1], dim), xs.offsets.astype(np.intp).tobytes(),
+        _points(ys.points, ys.offsets[-1], dim), ys.offsets.astype(np.intp).tobytes(),
+        dim, rows.tobytes(), cols.tobytes(), len(rows), p, c, cap, d1,
+        values.ctypes.data, match.ctypes.data))
+    return values, match

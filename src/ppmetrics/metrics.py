@@ -10,8 +10,10 @@ as defined here (for ``p > 1`` this differs from the OSPA convention that
 puts ``1/n`` inside the root). Each of them is one rectangular assignment
 of the smaller pattern into the larger. The compiled matching kernel
 (:mod:`ppmetrics._kernel`) builds its capped, powered costs, solves it and
-sums the picked costs exactly rounded, for one pair or, in one call, for
-every pair of two collections stacked into one point array with offsets.
+sums the picked costs exactly rounded. Its one pattern entry takes a list
+of pattern pairs of two collections, each stacked into one point array
+with offsets: one pair, every pair of a distance matrix, or the pairs a
+bound-settled comparison needs in a round, all in one call.
 
 ``dbar2_empirical`` lifts the pattern distance to uniform empirical
 distributions of patterns, where the Wasserstein distance reduces to one
@@ -161,20 +163,17 @@ def _pair_matching(a, b, p, c, spec, metric="dbar1"):
 
     The cost of a pair of points is ``min(d0, c) ** p``, with ``d0`` the
     Euclidean distance (further capped by ``spec`` when given), and each
-    unmatched point costs ``c ** p``. Returns ``(value, a_idx, b_idx)``
-    where ``a[a_idx[k]]`` is matched to ``b[b_idx[k]]``. For ``metric="d1"``
-    with differing counts the value is the largest capped ground distance,
-    ``c`` or ``spec.cap`` if smaller, and both index arrays are None.
+    unmatched point costs ``c ** p``. Returns ``(value, a_idx, b_idx)``,
+    one entry per point of the larger pattern: ``a[a_idx[k]]`` is paired
+    with ``b[b_idx[k]]``, and an index of -1 marks a point left unmatched.
+    For ``metric="d1"`` with differing counts the value is the largest
+    capped ground distance, ``c`` or ``spec.cap`` if smaller, and every
+    index is -1.
     """
-    swapped = len(a) > len(b)
-    if swapped:
-        a, b = b, a
-    m, n = len(a), len(b)
-    if metric == "d1" and m != n:
-        return (c if spec is None else min(c, spec.cap)), None, None
-    value, match = _kernel.pair(a, b, p, c, _cap(spec), c ** p)
-    rows = np.arange(m)
-    return (value, match, rows) if swapped else (value, rows, match)
+    stack = _Stack([a, b])
+    values, match = _kernel.pairs(stack, stack, [0], [1], p, c, _cap(spec),
+                                  metric == "d1")
+    return float(values[0]), match[:, 0], match[:, 1]
 
 
 def _cap(spec):
@@ -234,11 +233,9 @@ def matching_details(xi, eta, params=MetricParams(), spec=None, metric="dbar1"):
     _warn_cutoff(params.cutoff)
     value, xi_idx, eta_idx = _pair_matching(
         xi, eta, params.order, params.cutoff, spec, metric)
-    if xi_idx is None:
-        return value, []
-    pairs = list(zip(xi_idx.tolist(), eta_idx.tolist()))
-    pairs += [(i, None) for i in set(range(len(xi))).difference(xi_idx)]
-    pairs += [(None, j) for j in set(range(len(eta))).difference(eta_idx)]
+    pairs = [(None if i < 0 else i, None if j < 0 else j)
+             for i, j in zip(xi_idx.tolist(), eta_idx.tolist())
+             if (i, j) != (-1, -1)]
     return value, sorted(pairs, key=lambda t: (t[0] is None, t[0], t[1]))
 
 
@@ -301,12 +298,6 @@ class _Stack:
         return self.points[self.offsets[k]:self.offsets[k + 1]]
 
 
-def _stack(patterns):
-    """``patterns``, a list of validated patterns or a stack, as a
-    :class:`_Stack`."""
-    return patterns if isinstance(patterns, _Stack) else _Stack(patterns)
-
-
 def pattern_distance_matrix(ps, qs, params=MetricParams(), spec=None, metric="dbar1"):
     """Matrix of pairwise pattern distances between two collections."""
     ps, qs = _as_collections(ps, qs, metric)
@@ -317,10 +308,10 @@ def pattern_distance_matrix(ps, qs, params=MetricParams(), spec=None, metric="db
 def _distance_matrix(ps, qs, params, spec, metric):
     """``pattern_distance_matrix`` of two stacks in one kernel call: entry
     ``(i, j)`` is ``_pair_matching(ps[i], qs[j], ...)[0]``."""
-    p, c = params.order, params.cutoff
-    dim = (ps if len(ps.points) else qs).points.shape[1]
-    return _kernel.matrix(ps.points, ps.offsets, qs.points, qs.offsets, dim,
-                          p, c, _cap(spec), c ** p, metric == "d1")
+    rows, cols = np.indices((len(ps), len(qs))).reshape(2, -1)
+    values, _ = _kernel.pairs(ps, qs, rows, cols, params.order, params.cutoff,
+                              _cap(spec), metric == "d1")
+    return values.reshape(len(ps), len(qs))
 
 
 def _check_equal_sizes(ps, qs):
@@ -373,7 +364,8 @@ def _nearest_sums(dist, row_counts, col_counts, p, c):
 
 
 def _pair_lower_bounds(ps, qs, p, c, metric):
-    """Lower bound on every entry of ``pattern_distance_matrix(ps, qs)``.
+    """Lower bound on every entry of ``pattern_distance_matrix(ps, qs)``,
+    for two stacks.
 
     Every point of either pattern is matched or unmatched, at a cost of at
     least ``min(c, distance to the nearest point of the other pattern) **
@@ -384,7 +376,6 @@ def _pair_lower_bounds(ps, qs, p, c, metric):
     All nearest distances come from one ``cdist`` of the two stacks' points.
     ``d1`` at unequal counts is the cutoff itself.
     """
-    ps, qs = _stack(ps), _stack(qs)
     if len(ps.points) and len(qs.points):
         dist = cdist(ps.points, qs.points)
     else:
@@ -408,8 +399,8 @@ _SETTLE_MARGIN = 1e-9
 def _dbar2_compare(ps, qs, value, params=MetricParams(), metric="dbar1"):
     """Sign of ``dbar2_empirical(ps, qs, params, None, metric) - value``.
 
-    The collections, lists or stacks, must be validated; only the sizes and
-    the metric name are checked, and nothing warns. Returns -1, 0 or +1,
+    The collections must be validated stacks; only their sizes and the
+    metric name are checked, and nothing warns. Returns -1, 0 or +1,
     and solves pattern pairs only as far as the sign needs. Any pairing of
     the collections costs at least the optimal one, so the mean exact
     distance over one pairing, both sides sorted by count, is an upper
@@ -425,14 +416,12 @@ def _dbar2_compare(ps, qs, value, params=MetricParams(), metric="dbar1"):
     """
     _check_equal_sizes(ps, qs)
     _check_metric(metric)
-    ps, qs = _stack(ps), _stack(qs)
-    p, c, size = params.order, params.cutoff, len(ps)
+    p, c, size, d1 = params.order, params.cutoff, len(ps), metric == "d1"
     above, below = value * (1 + _SETTLE_MARGIN), value * (1 - _SETTLE_MARGIN)
     rows = np.argsort(ps.counts, kind="stable")
     cols = np.argsort(qs.counts, kind="stable")
-    upper = [_pair_matching(ps[i], qs[j], p, c, None, metric)[0]
-             for i, j in zip(rows, cols)]
-    if math.fsum(upper) / size < below:
+    upper, _ = _kernel.pairs(ps, qs, rows, cols, p, c, math.inf, d1)
+    if math.fsum(upper.tolist()) / size < below:
         return -1
     costs = _pair_lower_bounds(ps, qs, p, c, metric)
     costs[rows, cols] = upper
@@ -448,9 +437,8 @@ def _dbar2_compare(ps, qs, value, params=MetricParams(), metric="dbar1"):
             if lower / size < below:
                 return -1
             break
-        costs[rows[new], cols[new]] = [
-            _pair_matching(ps[i], qs[j], p, c, None, metric)[0]
-            for i, j in zip(rows[new], cols[new])]
+        costs[rows[new], cols[new]], _ = _kernel.pairs(
+            ps, qs, rows[new], cols[new], p, c, math.inf, d1)
         known[rows[new], cols[new]] = True
         if math.fsum(costs[rows, cols].tolist()) / size < below:
             return -1

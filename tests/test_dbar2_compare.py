@@ -6,11 +6,12 @@ import itertools
 import numpy as np
 import pytest
 
-from ppmetrics import metrics
+from ppmetrics import _kernel, metrics
 from ppmetrics.metrics import (
     MetricParams,
     _dbar2_compare,
     _pair_lower_bounds,
+    _Stack,
     dbar2_empirical,
     pattern_distance_matrix,
 )
@@ -49,27 +50,29 @@ def test_dbar2_compare_is_the_sign_of_the_exact_difference(order, cutoff, metric
         values = [exact, np.nextafter(exact, -1.0), np.nextafter(exact, 2.0),
                   0.0, *(cutoff * gen.random(6)), *(exact * (1 + 0.05 * gen.standard_normal(4)))]
         for value in values:
-            assert _dbar2_compare(ps, qs, value, params, metric) == _sign(exact - value)
+            assert _dbar2_compare(_Stack(ps), _Stack(qs), value, params, metric) == \
+                _sign(exact - value)
 
 
 @pytest.mark.parametrize("metric", ["dbar1", "d1"])
 def test_dbar2_compare_of_empty_collections(metric):
     empty = [np.empty((0, 2))] * 3
     params = MetricParams(2.0, 0.3)
-    assert _dbar2_compare(empty, empty, 0.0, params, metric) == 0
-    assert _dbar2_compare(empty, empty, 1e-300, params, metric) == -1
+    assert _dbar2_compare(_Stack(empty), _Stack(empty), 0.0, params, metric) == 0
+    assert _dbar2_compare(_Stack(empty), _Stack(empty), 1e-300, params, metric) == -1
     one = [np.array([[0.5, 0.5]])] * 3
     exact = dbar2_empirical(empty, one, params, None, metric)
     assert exact == pytest.approx(0.3, rel=1e-15)
-    assert _dbar2_compare(empty, one, exact, params, metric) == 0
-    assert _dbar2_compare(one, empty, np.nextafter(exact, 0.0), params, metric) == 1
+    assert _dbar2_compare(_Stack(empty), _Stack(one), exact, params, metric) == 0
+    assert _dbar2_compare(_Stack(one), _Stack(empty), np.nextafter(exact, 0.0), params,
+                          metric) == 1
 
 
 @pytest.mark.parametrize("order, cutoff, metric", SETTINGS)
 def test_pair_lower_bounds_never_exceed_the_pattern_distances(order, cutoff, metric):
     params = MetricParams(order, cutoff)
     for ps, qs in _collection_pairs(int(7 * order + 50 * cutoff)):
-        bounds = _pair_lower_bounds(ps, qs, order, cutoff, metric)
+        bounds = _pair_lower_bounds(_Stack(ps), _Stack(qs), order, cutoff, metric)
         exact = pattern_distance_matrix(ps, qs, params, None, metric)
         assert bounds.shape == exact.shape
         # the two paths sum the same costs in different orders
@@ -90,30 +93,30 @@ def test_dbar2_compare_settles_far_values_without_the_full_matrix(monkeypatch):
     params = MetricParams(1.0, 0.3)
     exact = dbar2_empirical(ps, qs, params)
     solved = []
-    pair_matching = metrics._pair_matching
+    pairs = _kernel.pairs
 
-    def counted(*args):
-        solved.append(args)
-        return pair_matching(*args)
+    def counted(xs, ys, rows, cols, *args):
+        solved.extend(zip(rows, cols))
+        return pairs(xs, ys, rows, cols, *args)
 
     def refused(*args, **kwargs):
         raise AssertionError("the full pattern matrix was solved")
 
-    monkeypatch.setattr(metrics, "_pair_matching", counted)
+    monkeypatch.setattr(_kernel, "pairs", counted)
     monkeypatch.setattr(metrics, "_dbar2", refused)
-    assert _dbar2_compare(ps, qs, 1.5 * exact, params) == -1
+    assert _dbar2_compare(_Stack(ps), _Stack(qs), 1.5 * exact, params) == -1
     assert len(solved) == 8
     solved.clear()
-    assert _dbar2_compare(ps, qs, 0.5 * exact, params) == 1
+    assert _dbar2_compare(_Stack(ps), _Stack(qs), 0.5 * exact, params) == 1
     assert len(solved) < 64
 
 
 def test_dbar2_compare_rejects_what_dbar2_empirical_rejects():
     a = [np.zeros((2, 2))]
     with pytest.raises(ValueError, match="unequal sizes"):
-        _dbar2_compare(a, a * 2, 0.1)
+        _dbar2_compare(_Stack(a), _Stack(a * 2), 0.1)
     with pytest.raises(ValueError, match="unknown pattern metric"):
-        _dbar2_compare(a, a, 0.1, metric="d2")
+        _dbar2_compare(_Stack(a), _Stack(a), 0.1, metric="d2")
 
 
 def test_power_study_d1_order_two_matches_full_tests():

@@ -5,7 +5,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ppmetrics.metrics import MetricParams, _dbar2_compare, dbar2_empirical
+from ppmetrics.metrics import MetricParams, _dbar2_compare, _Stack, dbar2_empirical
 
 coordinate = st.one_of(
     st.floats(0.0, 1.0, allow_nan=False, allow_subnormal=False),
@@ -44,4 +44,4 @@ def test_dbar2_compare_is_the_sign_of_the_exact_difference(pair, p, metric, offs
     else:
         value = exact * (1 + k * 1e-10)
     want = int(exact > value) - int(exact < value)
-    assert _dbar2_compare(ps, qs, value, p, metric) == want
+    assert _dbar2_compare(_Stack(ps), _Stack(qs), value, p, metric) == want

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from ppmetrics import metrics
+from ppmetrics import _kernel
 from ppmetrics.assignment import MAX_TRANSPORT_SIDE, solve_transportation
 from ppmetrics.cli import main
 from ppmetrics.errors import DimensionMismatchError
@@ -30,7 +30,7 @@ def test_dbar2_transport_refuses_a_long_side_before_any_pair(monkeypatch):
     def unreachable(*args, **kwargs):
         raise AssertionError("a pattern pair was solved")
 
-    monkeypatch.setattr(metrics, "_pair_matching", unreachable)
+    monkeypatch.setattr(_kernel, "pairs", unreachable)
     for ps, qs in ((_points(MAX_TRANSPORT_SIDE + 1), _points(1)),
                    (_points(1), _points(MAX_TRANSPORT_SIDE + 1))):
         with pytest.raises(ValueError, match="exceeds the supported size 500"):

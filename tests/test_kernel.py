@@ -15,9 +15,10 @@ from hypothesis.extra.numpy import arrays
 from scipy.spatial.distance import cdist
 
 import ppmetrics
+from ppmetrics import _kernel
 from ppmetrics.assignment import min_cost_matching
 from ppmetrics.geometry import GroundMetricSpec
-from ppmetrics.metrics import MetricParams, _pair_matching, matching_details, \
+from ppmetrics.metrics import MetricParams, _pair_matching, _Stack, matching_details, \
     pattern_distance_matrix
 
 from oracles import brute_force_matching, lsa_matching, lsa_pair_distance
@@ -81,6 +82,7 @@ def test_min_cost_matching_of_negative_entries_equals_the_oracles():
 @pytest.mark.parametrize("cutoff", [0.05, 0.3, 1.0])
 def test_pair_values_are_bit_identical_to_scipy_on_random_patterns(order, cutoff):
     gen = np.random.default_rng(int(10 * order + 100 * cutoff))
+    shuffle = np.random.default_rng(0)
     params = MetricParams(order, cutoff)
     for lam in (0.5, 3.0, 15.0, 30.0, 60.0):
         for dim in (1, 2, 3):
@@ -94,6 +96,35 @@ def test_pair_values_are_bit_identical_to_scipy_on_random_patterns(order, cutoff
                               for a in ps])
             assert (pairs == want).all()
             assert (pattern_distance_matrix(ps, qs, params, spec) == want).all()
+            # one kernel call on a shuffled list of pairs of one stack: each
+            # pair twice, in both orientations, and each pattern against an
+            # empty one
+            k, empty = len(ps), np.empty((0, dim))
+            stack = _Stack([*ps, *qs, empty])
+            full = np.full((2 * k + 1, 2 * k + 1), np.nan)
+            full[:k, k:2 * k], full[k:2 * k, :k] = want, want.T
+            for i in range(2 * k + 1):
+                full[i, 2 * k] = lsa_pair_distance(stack[i], empty, order, cutoff, cap)
+                full[2 * k, i] = lsa_pair_distance(empty, stack[i], order, cutoff, cap)
+            rows, cols = np.nonzero(~np.isnan(full))
+            picks = shuffle.permutation(np.tile(np.arange(len(rows)), 2))
+            values, _ = _kernel.pairs(stack, stack, rows[picks], cols[picks], order,
+                                      cutoff, math.inf if cap is None else cap, False)
+            assert (values == full[rows[picks], cols[picks]]).all()
+
+
+def test_pair_list_indices_are_checked_before_the_call():
+    stack = _Stack([np.zeros((2, 2)), np.ones((1, 2))])
+    for rows, cols in (([0, 2], [0, 1]), ([0], [-1]), ([0, 1], [0])):
+        with pytest.raises(ValueError, match="pattern indices|one length"):
+            _kernel.pairs(stack, stack, rows, cols, 1.0, 1.0, math.inf, False)
+
+
+def test_d1_pairs_nothing_at_unequal_counts_even_against_an_empty_pattern():
+    empty, two = np.empty((0, 2)), np.array([[0.1, 0.2], [0.3, 0.4]])
+    params = MetricParams(1.0, 0.5)
+    assert matching_details(empty, two, params, metric="d1") == (0.5, [])
+    assert matching_details(two, empty, params) == (0.5, [(0, None), (1, None)])
 
 
 grid_pattern = st.lists(st.tuples(*[st.integers(0, 4).map(lambda k: k / 4.0)] * 2),
