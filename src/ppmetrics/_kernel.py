@@ -128,9 +128,8 @@ def _check(status):
 # than ``ndarray.ctypes``, and it is C-contiguous whatever the input's
 # layout. Before a call, every buffer's size is checked against the counts
 # the kernel will read it by, and every index against the range it indexes.
-# The outputs of ``min_cost_matching`` are ctypes arrays viewed by numpy;
-# those of ``pairs`` are numpy arrays, because their lengths vary from call
-# to call and ctypes builds a new array type for each new length.
+# The outputs are numpy arrays passed as ``.ctypes.data``: their lengths vary
+# from call to call, and ctypes would build a new array type for each new one.
 
 def _points(x, count, dim):
     data = x.tobytes()
@@ -145,11 +144,11 @@ def min_cost_matching(costs, fill):
     row ``i`` is matched to column ``cols[i]``, and each of the ``n - m``
     columns left over costs ``fill``."""
     m, n = costs.shape
-    cols = (ctypes.c_ssize_t * m)()
+    cols = np.empty(m, dtype=np.intp)
     total = ctypes.c_double()
-    _check(_lib.ppm_min_cost_matching(_points(costs, m, n), m, n, fill, cols,
-                                      ctypes.byref(total)))
-    return total.value, np.frombuffer(cols, dtype=np.intp)
+    _check(_lib.ppm_min_cost_matching(_points(costs, m, n), m, n, fill,
+                                      cols.ctypes.data, ctypes.byref(total)))
+    return total.value, cols
 
 
 def pairs(xs, ys, rows, cols, p, c, cap, d1):

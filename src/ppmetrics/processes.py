@@ -7,7 +7,7 @@ independent draws. Monte Carlo drivers allocate one substream per
 replicate, so runs parallelize deterministically.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 from itertools import product
 
@@ -16,7 +16,7 @@ from numpy.random.bit_generator import ISeedSequence
 
 from .errors import check_count, check_real
 from .geometry import as_pattern
-from .metrics import CountDistribution
+from .metrics import CountDistribution, _Stack
 
 __all__ = [
     "RngStream",
@@ -184,9 +184,6 @@ class Window:
 
     lower: tuple = (0.0, 0.0)
     upper: tuple = (1.0, 1.0)
-    # corner arrays of sample_uniform, built once
-    _origin: np.ndarray = field(init=False, compare=False, repr=False)
-    _extent: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         lo = np.asarray(self.lower, dtype=float)
@@ -199,18 +196,17 @@ class Window:
             raise ValueError("window must satisfy lower < upper coordinatewise")
         object.__setattr__(self, "lower", tuple(float(v) for v in lo))
         object.__setattr__(self, "upper", tuple(float(v) for v in hi))
-        origin = np.asarray(self.lower)
-        extent = np.asarray(self.upper) - origin
-        origin.flags.writeable = extent.flags.writeable = False
-        object.__setattr__(self, "_origin", origin)
-        object.__setattr__(self, "_extent", extent)
 
     @property
     def dimension(self):
         return len(self.lower)
 
     def sample_uniform(self, n, gen):
-        return self._origin + self._extent * gen.random((n, self.dimension))
+        return self._map(gen.random((n, self.dimension)))
+
+    def _map(self, unit):  # (n, D) points of the unit cube into the window
+        lower = np.asarray(self.lower)
+        return lower + (np.asarray(self.upper) - lower) * unit
 
 
 UNIT_SQUARE = Window((0.0, 0.0), (1.0, 1.0))
@@ -222,16 +218,20 @@ def uniform_sampler(window=UNIT_SQUARE):
 
 
 def sample_poisson_homogeneous(lambda_total, window=UNIT_SQUARE, rng=RngStream(0)):
-    """Homogeneous Poisson process: Poisson(lambda_total) count, uniform points."""
-    return _sample_poisson(check_real("lambda_total", lambda_total, above=0),
-                           window, rng)
+    """Homogeneous Poisson process: Poisson(lambda_total) count, uniform points;
+    the one-stream case of ``_poisson_stack``, which draws the null collections."""
+    return _poisson_stack([rng], check_real("lambda_total", lambda_total, above=0),
+                          window).points
 
 
-def _sample_poisson(lambda_total, window, rng):
-    """``sample_poisson_homogeneous`` of a positive float ``lambda_total``."""
-    gen = rng.generator()
-    n = int(gen.poisson(lambda_total))
-    return window.sample_uniform(n, gen)
+def _poisson_stack(streams, lambda_total, window):
+    """``_Stack`` of Poisson patterns of a positive float ``lambda_total``, pattern
+    ``k`` drawn from ``streams[k]``; the stacked unit-cube draws are mapped into
+    the window at once, bit for bit as if each pattern were mapped alone."""
+    stack = _Stack([gen.random((int(gen.poisson(lambda_total)), window.dimension))
+                    for gen in (stream.generator() for stream in streams)])
+    stack.points = window._map(stack.points)
+    return stack
 
 
 def sample_poisson_fkappa(lambda_total, kappa, rng=RngStream(0)):

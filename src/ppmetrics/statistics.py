@@ -28,7 +28,7 @@ from .geometry import (
 )
 from .metrics import MetricParams, _as_pair, _check_metric, _dbar2, \
     _dbar2_compare, _pair_matching, _Stack, _warn_cutoff
-from .processes import UNIT_SQUARE, RngStream, _sample_poisson, _substream_grid, \
+from .processes import UNIT_SQUARE, RngStream, _poisson_stack, _substream_grid, \
     sample_collection, sample_poisson_fkappa
 
 __all__ = [
@@ -210,22 +210,21 @@ def _monte_carlo(data, lam, params, n_null, alpha, rng, metric,
     """Null loop shared by :func:`homogeneity_test` and :func:`power_study`.
 
     ``data`` holds validated patterns of the window's dimension and ``lam``
-    is a positive float; nothing here validates or warns. The data and the
-    shared reference are stacked once, and each null as it is drawn. Returns
+    is a positive float; nothing here validates or warns. The data are
+    stacked once, and :func:`~ppmetrics.processes._poisson_stack` draws the
+    reference and each null collection straight into one stack. Returns
     ``(observed, nulls, rank, threshold)``. With ``settle=True``
     each null is only compared with the observed statistic by
     :func:`~ppmetrics.metrics._dbar2_compare`, which solves the full
     pattern matrix only when its bounds leave the comparison open, and
     ``nulls`` stays empty; the rank, and so the decision, is the same.
     Null ``j`` draws pattern ``i`` from ``rng.substream(1 + j).substream(s)
-    .substream(i)``, ``s = 1`` for a redrawn reference, seeded in blocks.
+    .substream(i)``, ``s = 1`` for a redrawn reference, seeded in blocks,
+    and the shared reference from ``rng.substream(0).substream(i)``.
     """
     n_patterns = len(data)
-
-    def draw(stream):
-        return _sample_poisson(lam, window, stream)
-
-    reference = _Stack(sample_collection(n_patterns, draw, rng.substream(0)))
+    reference = _poisson_stack(
+        [rng.substream(0).substream(i) for i in range(n_patterns)], lam, window)
     observed = _dbar2(_Stack(data), reference, params, None, metric)
     threshold = _rejection_threshold(alpha, n_null)
     sides = (0,) if share_reference else (0, 1)
@@ -237,9 +236,8 @@ def _monte_carlo(data, lam, params, n_null, alpha, rng, metric,
                 rng, range(1 + n_drawn, 1 + min(n_drawn + _NULL_BLOCK, n_null)),
                 sides, range(n_patterns))
         streams = block[n_drawn % _NULL_BLOCK]
-        null_data = _Stack([draw(stream) for stream in streams[0]])
-        ref_i = reference if share_reference else _Stack(
-            [draw(stream) for stream in streams[1]])
+        null_data = _poisson_stack(streams[0], lam, window)
+        ref_i = reference if share_reference else _poisson_stack(streams[1], lam, window)
         if settle:
             sign = _dbar2_compare(null_data, ref_i, observed, params, metric)
         else:

@@ -11,6 +11,8 @@ from ppmetrics.processes import (
     RngStream,
     UNIT_SQUARE,
     Window,
+    _poisson_stack,
+    _substream_grid,
     evolve_immigration_death,
     sample_bernoulli_process,
     sample_binomial_process,
@@ -253,3 +255,27 @@ def test_sample_collection_uses_disjoint_substreams():
     for a, b in zip(pats, again):
         assert np.array_equal(a, b)
     assert not np.array_equal(pats[0], pats[1])
+
+
+BOX = Window((0.0, -1.0, 2.0), (2.0, 1.0, 2.5))
+
+
+@pytest.mark.parametrize("lam", [6.0, 1e-12])
+@pytest.mark.parametrize("window", [UNIT_SQUARE, BOX])
+def test_poisson_stack_draws_each_pattern_as_the_single_sampler(window, lam):
+    rng = RngStream(31, 2)
+    children = [rng.substream(i) for i in range(5)]
+    lower, upper = np.array(window.lower), np.array(window.upper)
+    for streams in (children, list(_substream_grid(rng, range(5)))):
+        stack = _poisson_stack(streams, lam, window)
+        assert len(stack) == 5
+        assert stack.points.shape == (stack.offsets[-1], window.dimension)
+        for k, child in enumerate(children):
+            gen = child.generator()
+            unit = gen.random((int(gen.poisson(lam)), window.dimension))
+            want = lower + (upper - lower) * unit
+            for got in (stack[k], sample_poisson_homogeneous(lam, window, streams[k])):
+                assert got.shape == want.shape
+                assert np.array_equal(got, want)
+        if lam < 1:  # every pattern is empty
+            assert stack.points.shape == (0, window.dimension)

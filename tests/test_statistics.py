@@ -7,7 +7,7 @@ import pytest
 
 from ppmetrics.geometry import GroundMetricSpec, min_enclosing_ball
 from ppmetrics.metrics import MetricParams, dbar2_empirical
-from ppmetrics.processes import RngStream, UNIT_SQUARE, sample_collection, \
+from ppmetrics.processes import RngStream, UNIT_SQUARE, Window, sample_collection, \
     sample_poisson_fkappa, sample_poisson_homogeneous
 from ppmetrics import processes, statistics
 from ppmetrics.statistics import (
@@ -425,6 +425,25 @@ def test_block_seeded_nulls_equal_per_stream_collections(
         list(range(1 + start, 1 + min(start + block, 79)))
         for start in range(0, n_drawn, block)]
     assert len(grid_calls) == -(-n_drawn // block)
+
+
+def test_redrawn_nulls_in_a_3d_window_equal_per_stream_collections():
+    window = Window((0.0, -1.0, 2.0), (2.0, 1.0, 2.5))
+
+    def collection(stream):
+        return sample_collection(
+            4, lambda s: sample_poisson_homogeneous(8.0, window, s), stream)
+
+    data = collection(RngStream(92))
+    params, rng = MetricParams(1.0, 0.5), RngStream(93)
+    res = homogeneity_test(data, lam=8.0, params=params, n_null=19, rng=rng,
+                           share_reference=False, window=window)
+    reference = collection(rng.substream(0))
+    assert res.statistic == dbar2_empirical(data, reference, params)
+    assert list(res.null_statistics) == [
+        dbar2_empirical(collection(rng.substream(1 + j).substream(0)),
+                        collection(rng.substream(1 + j).substream(1)), params)
+        for j in range(19)]
 
 
 def test_power_study_decisions_match_full_tests():
