@@ -10,16 +10,19 @@ as defined here (for ``p > 1`` this differs from the OSPA convention that
 puts ``1/n`` inside the root). Each of them is one rectangular assignment
 of the smaller pattern into the larger. The compiled matching kernel
 (:mod:`ppmetrics._kernel`) builds its capped, powered costs, solves it and
-sums the picked costs exactly rounded. Its one pattern entry takes a list
-of pattern pairs of two collections, each stacked into one point array
-with offsets: one pair, every pair of a distance matrix, or the pairs a
-bound-settled comparison needs in a round, all in one call.
+sums the picked costs exactly rounded. Its pattern entries take two
+collections, each stacked into one point array with offsets. One solves a
+list of their pattern pairs: one pair, every pair of a distance matrix, or
+the pairs a bound-settled comparison needs in a round, all in one call.
 
 ``dbar2_empirical`` lifts the pattern distance to uniform empirical
 distributions of patterns, where the Wasserstein distance reduces to one
-pattern-level assignment problem, solved on the same kernel; ``dRW``
-is the analogous lift of the relative count difference ``dR`` to count
-distributions.
+pattern-level assignment problem over the matrix of pattern distances.
+The kernel's other pattern entry solves it in one call without that whole
+matrix: every pair starts at a lower bound on its distance, and only the
+pairs that an optimal pairing of the current entries picks are solved,
+until the pairing holds only exact distances. ``dRW`` is the analogous
+lift of the relative count difference ``dR`` to count distributions.
 """
 
 import math
@@ -336,10 +339,13 @@ def dbar2_empirical(ps, qs, params=MetricParams(), spec=None, metric="dbar1"):
 
 
 def _dbar2(ps, qs, params, spec, metric):
-    """``dbar2_empirical`` of two stacks of equal size."""
-    total, _ = _kernel.min_cost_matching(
-        _distance_matrix(ps, qs, params, spec, metric), 0.0)
-    return total / len(ps)
+    """``dbar2_empirical`` of two stacks of equal size, in one kernel call
+    that solves only the pattern pairs an optimal pairing needs; the value
+    is bit-identical to ``min_cost_matching`` of ``_distance_matrix`` over
+    the size."""
+    value, _ = _kernel.dbar2(ps, qs, params.order, params.cutoff, _cap(spec),
+                             metric == "d1")
+    return value
 
 
 def _nearest_sums(dist, row_counts, col_counts, p, c):

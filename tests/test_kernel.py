@@ -1,8 +1,10 @@
 """The compiled matching kernel against exhaustive and scipy oracles, and
 the loader that builds it on first import."""
 
+import ctypes
 import math
 import os
+import shutil
 import stat
 import subprocess
 import sys
@@ -18,8 +20,8 @@ import ppmetrics
 from ppmetrics import _kernel
 from ppmetrics.assignment import min_cost_matching
 from ppmetrics.geometry import GroundMetricSpec
-from ppmetrics.metrics import MetricParams, _pair_matching, _Stack, matching_details, \
-    pattern_distance_matrix
+from ppmetrics.metrics import MetricParams, _dbar2, _distance_matrix, _pair_matching, \
+    _Stack, matching_details, pattern_distance_matrix
 
 from oracles import brute_force_matching, lsa_matching, lsa_pair_distance
 
@@ -147,6 +149,93 @@ def test_a_tied_pairing_covers_every_point_and_is_summed_exactly(xi, eta, p, c):
     assert value == total ** (1.0 / p) / max(n, 1)
     assert abs(value - lsa_pair_distance(xi, eta, p, c)) <= 1e-12
 
+
+
+def _collection(gen, size, dim, lam):
+    """``size`` patterns in random order: an empty one, a 1-point one and one
+    on a coarse grid, whose distances tie, and Poisson(lam) ones after them;
+    fewer than 3 patterns are drawn from all of these."""
+    kinds = [np.empty((0, dim)), gen.random((1, dim)),
+             gen.integers(0, 3, size=(int(gen.integers(1, 6)), dim)) / 2.0]
+    kinds += [gen.random((int(gen.poisson(lam)), dim)) for _ in range(size)]
+    if size < 3:
+        kinds = [kinds[k] for k in gen.choice(len(kinds), size, replace=False)]
+    return _Stack([kinds[k] for k in gen.permutation(size)])
+
+
+def _full_dbar2(xs, ys, params, spec, metric):
+    costs = _distance_matrix(xs, ys, params, spec, metric)
+    return _kernel.min_cost_matching(costs, 0.0)[0] / len(xs)
+
+
+@pytest.mark.parametrize("metric", ["dbar1", "d1"])
+@pytest.mark.parametrize("order", [1.0, 1.5, 2.0])
+@pytest.mark.parametrize("cutoff", [0.05, 0.3, 1.0])
+def test_dbar2_is_bit_identical_to_the_optimal_pairing_of_the_full_matrix(
+        metric, order, cutoff):
+    gen = np.random.default_rng([int(10 * order), int(100 * cutoff), metric == "d1"])
+    params = MetricParams(order, cutoff)
+    for trial in range(114):  # 18 settings: 2,052 collection pairs
+        size, dim = int(gen.integers(1, 13)), 1 + trial % 3
+        spec = GroundMetricSpec(0.2) if trial % 2 else None
+        lam = (0.5, 3.0, 8.0, 30.0)[trial % 4]
+        xs, ys = _collection(gen, size, dim, lam), _collection(gen, size, dim, lam)
+        value, solved = _kernel.dbar2(xs, ys, order, cutoff,
+                                      math.inf if spec is None else spec.cap,
+                                      metric == "d1")
+        assert value == _full_dbar2(xs, ys, params, spec, metric)
+        assert value == _dbar2(xs, ys, params, spec, metric)
+        assert 0 <= solved <= size * size
+
+
+def test_dbar2_solves_no_d1_pair_of_unequal_counts():
+    gen = np.random.default_rng(4)
+    xs = _Stack([gen.random((k, 2)) for k in range(12)])
+    ys = _Stack([gen.random((k, 2)) for k in range(12, 24)])
+    value, solved = _kernel.dbar2(xs, ys, 1.0, 0.3, math.inf, True)
+    assert (value, solved) == (0.3, 0)
+
+
+def test_dbar2_solves_under_half_the_pairs_of_paper_scale_collections():
+    gen = np.random.default_rng(5)
+    for _ in range(5):
+        xs, ys = (_Stack([gen.random((int(gen.poisson(30)), 2)) for _ in range(12)])
+                  for _ in range(2))
+        value, solved = _kernel.dbar2(xs, ys, 1.0, 0.3, math.inf, False)
+        assert value == _full_dbar2(xs, ys, MetricParams(1.0, 0.3), None, "dbar1")
+        assert solved < 144 / 2
+
+
+def test_dbar2_refuses_collections_of_different_sizes():
+    stack = _Stack([np.zeros((2, 2))])
+    for xs, ys in ((stack, _Stack([np.zeros((2, 2))] * 2)), (_Stack([]), _Stack([]))):
+        with pytest.raises(ValueError, match="one size"):
+            _kernel.dbar2(xs, ys, 1.0, 1.0, math.inf, False)
+
+
+def test_the_round_cap_solves_every_pair_left_and_keeps_the_value(tmp_path, monkeypatch):
+    # a build that reaches its round cap at the first round: the loop then
+    # solves every pair still bounded, where the default build needs few
+    path = str(tmp_path / "capped.so")
+    subprocess.run([shutil.which("cc"), *_kernel.FLAGS, "-DPPM_ROUNDS_PER_PATTERN=0",
+                    "-o", path, _kernel.SOURCE], check=True)
+    capped = _kernel._declare(ctypes.CDLL(path))
+    gen = np.random.default_rng(6)
+    inputs = [(40, 1.0, lambda: gen.random((int(gen.integers(1, 4)), 2)))] * 5
+    inputs += [(12, 0.3, lambda: gen.random((int(gen.poisson(30)), 2)))] * 3
+    more = 0
+    for size, cutoff, draw in inputs:
+        xs, ys = (_Stack([draw() for _ in range(size)]) for _ in range(2))
+        value, solved = _kernel.dbar2(xs, ys, 1.0, cutoff, math.inf, False)
+        with monkeypatch.context() as patch:
+            patch.setattr(_kernel, "_lib", capped)
+            capped_value, capped_solved = _kernel.dbar2(xs, ys, 1.0, cutoff, math.inf,
+                                                        False)
+        assert capped_value == value == _full_dbar2(
+            xs, ys, MetricParams(1.0, cutoff), None, "dbar1")
+        assert solved <= capped_solved <= size * size
+        more += capped_solved > solved
+    assert more >= 3
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(ppmetrics.__file__)))
 

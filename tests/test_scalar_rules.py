@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from ppmetrics import bounds, geometry, metrics, processes, statistics
+from ppmetrics import _kernel, bounds, geometry, metrics, processes, statistics
 from ppmetrics.cli import main
 from ppmetrics.fileio import write_patterns
 from ppmetrics.metrics import CountDistribution, MetricParams
@@ -192,7 +192,7 @@ def test_collection_paths_warn_once_per_call_above_cutoff_one(call):
 
 
 def test_the_null_loop_validates_only_the_data_and_warns_once(monkeypatch):
-    calls = {"_distance_matrix": 0, "metrics.as_pattern": 0, "statistics.as_pattern": 0}
+    calls = {"_kernel.dbar2": 0, "metrics.as_pattern": 0, "statistics.as_pattern": 0}
 
     def counted(module, name, key):
         original = getattr(module, name)
@@ -203,13 +203,14 @@ def test_the_null_loop_validates_only_the_data_and_warns_once(monkeypatch):
 
         monkeypatch.setattr(module, name, wrapper)
 
-    counted(metrics, "_distance_matrix", "_distance_matrix")
+    # statistics binds _dbar2 by name, so count the kernel entry it calls
+    counted(_kernel, "dbar2", "_kernel.dbar2")
     counted(metrics, "as_pattern", "metrics.as_pattern")
     counted(statistics, "as_pattern", "statistics.as_pattern")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         statistics.homogeneity_test(DATA, params=CUTOFF_2, n_null=19)
-    assert calls == {"_distance_matrix": 20, "metrics.as_pattern": 0,
+    assert calls == {"_kernel.dbar2": 20, "metrics.as_pattern": 0,
                      "statistics.as_pattern": len(DATA)}
     assert len(caught) == 1
 
