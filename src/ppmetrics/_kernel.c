@@ -13,10 +13,11 @@
  *
  * There are three entries: ppm_min_cost_matching solves one cost matrix;
  * ppm_pairs solves a list of pattern pairs of two stacked collections, one
- * pair, every pair of a distance matrix or the pairs of a compare round; and
- * ppm_dbar2 computes the exact empirical dbar2 of two stacked collections of
- * one size, solving only the pattern pairs that an optimal pairing over
- * lower bounds of the others picks.  Arrays are C-contiguous; indices are
+ * pair or every pair of a distance matrix; and ppm_dbar2 computes the exact
+ * empirical dbar2 of two stacked collections of one size, solving only the
+ * pattern pairs that an optimal pairing over lower bounds of the others
+ * picks, or stops at a bound on it that clears a threshold, which settles a
+ * comparison of dbar2 with a value.  Arrays are C-contiguous; indices are
  * intptr_t (numpy's intp).  Each entry returns 0 or one of the PPM_* codes
  * below.  Build with -ffp-contract=off, so that no multiply-add is fused
  * and the ground costs round as numpy's.
@@ -594,6 +595,29 @@ static int pair_bound(pair_t q, const metric_t *g, scan_t *s, double *total,
     return 0;
 }
 
+/* Stable sort of the patterns 0 .. size) of a stack by count, into order. */
+static void sort_by_count(const intptr_t *off, intptr_t size, intptr_t *order)
+{
+    intptr_t i, j;
+    for (i = 0; i < size; i++) {
+        intptr_t n = off[i + 1] - off[i];
+        for (j = i; j > 0 && off[order[j - 1] + 1] - off[order[j - 1]] > n; j--)
+            order[j] = order[j - 1];
+        order[j] = i;
+    }
+}
+
+/* Exact total of the pairing i -> cols[i] of the size x size entries dist,
+ * whose entries are gathered into picked. */
+static int pairing_total(const double *dist, const intptr_t *cols, intptr_t size,
+                         double *picked, double *total)
+{
+    intptr_t i;
+    for (i = 0; i < size; i++)
+        picked[i] = dist[i * size + cols[i]];
+    return total_of(picked, size, size, 0.0, total);
+}
+
 /* Exact empirical dbar2 of two stacks of size patterns each: the mean
  * pattern distance (as ppm_pairs gives it) under an optimal pairing of the
  * patterns, in *value, and the number of pairs solved in *solved.
@@ -607,32 +631,58 @@ static int pair_bound(pair_t q, const metric_t *g, scan_t *s, double *total,
  * is optimal, and the value is summed as ppm_min_cost_matching sums it.
  * After PPM_ROUNDS_PER_PATTERN * size rounds every pair left is solved, so
  * the next round ends the loop.  A pair's costs are built again when it is
- * solved, which keeps memory at the matrix plus the largest pair. */
+ * solved, which keeps memory at the matrix plus the largest pair.
+ *
+ * A finite below asks only how dbar2 compares with below and above.  The
+ * pairing of the stacks each sorted by count is then solved before any bound.
+ * The mean exact distance of a pairing, the sorted one or a round's once its
+ * picks are solved, is an upper bound on dbar2, returned when under below;
+ * the mean of a round's optimum is a lower bound, returned when over above. */
 int ppm_dbar2(const double *xs, const intptr_t *xoff, const double *ys,
               const intptr_t *yoff, intptr_t dim, intptr_t size, double p,
-              double c, double cap, int d1, double *value, intptr_t *solved)
+              double c, double cap, int d1, double below, double above,
+              double *value, intptr_t *solved)
 {
     enum { BOUND, EXACT, PICKED }; /* the states of an entry */
     metric_t g = metric_of(dim, p, c, cap, d1);
     work_t inner, outer;
     scan_t scan;
-    double *dist = NULL, total = 0.0;
+    double *dist = NULL, total = 0.0, upper;
+    intptr_t *order;
     unsigned char *state = NULL;
     intptr_t i, k, cells = size * size, rounds = 0, most_x = largest(xoff, NULL, size);
     intptr_t most_y = largest(yoff, NULL, size), most = most_x > most_y ? most_x : most_y;
-    int status = PPM_NO_MEMORY, pending = 1;
+    int status = PPM_NO_MEMORY, pending = 1, compare = below > -INFINITY;
     *solved = 0;
     inner.block = outer.block = scan.block = NULL;
-    dist = malloc((size_t)cells * sizeof(double) + 1);
-    state = malloc((size_t)cells + 1);
+    dist = malloc((size_t)cells * sizeof(double) + 2 * (size_t)size * sizeof(intptr_t) + 1);
+    state = calloc((size_t)cells + 1, 1); /* every entry at BOUND */
     if (dist == NULL || state == NULL || scan_alloc(&scan, most, dim) ||
         work_alloc(&inner, most, most, most_x * most_y, dim) ||
         work_alloc(&outer, size, size, 0, 0))
         goto done;
     status = 0;
-    for (k = 0; !status && k < cells; k++) {
+    order = (intptr_t *)(dist + cells);
+    if (compare) {
+        sort_by_count(xoff, size, order);
+        sort_by_count(yoff, size, order + size);
+        for (i = 0; !status && i < size; i++) {
+            pair_t q = pair_of(xs, xoff, ys, yoff, dim, order[i], order[size + i]);
+            k = order[i] * size + order[size + i];
+            status = pair_solve(q, &g, &inner, &dist[k]);
+            state[k] = EXACT;
+            *solved += !(d1 && q.m != q.n);
+            outer.col4row[order[i]] = order[size + i];
+        }
+        if (!status)
+            status = pairing_total(dist, outer.col4row, size, outer.dist, &total);
+        pending = !(total / (double)size < below);
+    }
+    for (k = 0; !status && pending && k < cells; k++) {
         pair_t q = pair_of(xs, xoff, ys, yoff, dim, k / size, k % size);
         int exact = d1 && q.m != q.n;
+        if (state[k] == EXACT)
+            continue;
         if (exact) { /* valued without a solve */
             status = pair_solve(q, &g, &inner, &dist[k]);
         } else if (!(status = pair_bound(q, &g, &scan, &total, &exact))) {
@@ -646,8 +696,10 @@ int ppm_dbar2(const double *xs, const intptr_t *xoff, const double *ys,
     }
     while (!status && pending) {
         status = solve_total(size, size, dist, 0.0, &outer, &total);
+        if (status || total / (double)size > above)
+            break;
         pending = 0;
-        for (i = 0; !status && i < size; i++) {
+        for (i = 0; i < size; i++) {
             k = i * size + outer.col4row[i];
             if (state[k] == BOUND) {
                 state[k] = PICKED;
@@ -664,6 +716,12 @@ int ppm_dbar2(const double *xs, const intptr_t *xoff, const double *ys,
                                 &g, &inner, &dist[k]);
             state[k] = EXACT;
             ++*solved;
+        }
+        if (!status && compare && pending &&
+            !(status = pairing_total(dist, outer.col4row, size, outer.dist, &upper)) &&
+            upper / (double)size < below) {
+            total = upper;
+            break;
         }
     }
     if (!status)

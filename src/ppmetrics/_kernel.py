@@ -14,17 +14,26 @@ The three functions below are the only callers of the library, one per
 entry: :func:`min_cost_matching` solves one cost matrix, :func:`pairs` a
 list of pattern pairs of two stacked collections, and :func:`dbar2` the
 exact empirical dbar2 of two stacked collections of one size, solving only
-the pattern pairs its optimal pairing needs. They check and pass the
-arrays and turn a failure status into an exception.
+the pattern pairs its optimal pairing needs, or a bound on it that settles
+a comparison with a value. They check and pass the arrays and turn a
+failure status into an exception.
+
+After a build, the loader deletes the other ``_kernel-*.so`` files of its
+directory that are more than a day old, so that the cache does not keep a
+library for every source it ever built. A younger one is kept: another
+installed version of the package may still be using it.
 """
 
 import ctypes
+import glob
 import hashlib
+import math
 import os
 import shutil
 import stat
 import subprocess
 import tempfile
+import time
 
 import numpy as np
 
@@ -81,6 +90,18 @@ def _build(path):
             os.unlink(tmp)
 
 
+def _prune(path):
+    """Delete the other kernel libraries beside ``path`` last modified more
+    than a day ago."""
+    directory, stale = glob.escape(os.path.dirname(path)), time.time() - 86400
+    for other in glob.glob(os.path.join(directory, "_kernel-*.so")):
+        try:
+            if other != path and os.stat(other).st_mtime < stale:
+                os.unlink(other)
+        except OSError:
+            pass  # removed meanwhile, or not ours to remove
+
+
 def _load():
     with open(SOURCE, "rb") as fh:
         key = hashlib.sha256(fh.read() + " ".join(FLAGS).encode()).hexdigest()
@@ -101,6 +122,7 @@ def _load():
             if shared and not _private(directory):
                 raise PermissionError("it is not private to this user")
             _build(path)
+            _prune(path)
             return ctypes.CDLL(path)
         except OSError as exc:
             problems.append(f"{directory}: {exc}")
@@ -116,7 +138,7 @@ def _declare(lib):
                               real, ctypes.c_int, ptr, ptr]
     lib.ppm_pairs.restype = ctypes.c_int
     lib.ppm_dbar2.argtypes = [ptr, ptr, ptr, ptr, size, size, real, real, real,
-                              ctypes.c_int, ptr, ptr]
+                              ctypes.c_int, real, real, ptr, ptr]
     lib.ppm_dbar2.restype = ctypes.c_int
     return lib
 
@@ -193,7 +215,7 @@ def pairs(xs, ys, rows, cols, p, c, cap, d1):
     return values, match
 
 
-def dbar2(xs, ys, p, c, cap, d1):
+def dbar2(xs, ys, p, c, cap, d1, below=-math.inf, above=math.inf):
     """``(value, solved)`` of the stacked collections ``xs`` and ``ys`` of
     one size N, with ``p``, ``c``, ``cap`` and ``d1`` as in :func:`pairs`:
     ``value`` is their exact empirical dbar2, bit-identical to
@@ -201,12 +223,21 @@ def dbar2(xs, ys, p, c, cap, d1):
     and ``solved`` the number of pattern pairs it solved. Each pair starts
     at a lower bound on its distance, or at the distance where that needs
     no solve, and is solved only when an optimal pairing over the current
-    entries picks it."""
+    entries picks it.
+
+    With a finite ``below`` the call settles a comparison. It first solves
+    the pairing of the two collections each sorted by count (stably), and
+    it stops as soon as a bound clears a threshold. A returned ``value >
+    above`` is a lower bound on dbar2, the mean of an optimal pairing over
+    lower bounds, and a returned ``value < below`` an upper bound, the mean
+    exact distance of one pairing; both hold to within the rounding of the
+    assignment, which a caller's thresholds must leave room for. Any other
+    ``value`` is the exact dbar2."""
     size = len(xs.counts)
     if size == 0 or len(ys.counts) != size:
         raise ValueError(f"dbar2 needs two nonempty collections of one size, "
                          f"got sizes {size} and {len(ys.counts)}")
     value, solved = ctypes.c_double(), ctypes.c_ssize_t()
-    _check(_lib.ppm_dbar2(*_stacks(xs, ys), size, p, c, cap, d1, ctypes.byref(value),
-                          ctypes.byref(solved)))
+    _check(_lib.ppm_dbar2(*_stacks(xs, ys), size, p, c, cap, d1, below, above,
+                          ctypes.byref(value), ctypes.byref(solved)))
     return value.value, solved.value

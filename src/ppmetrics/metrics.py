@@ -12,8 +12,8 @@ of the smaller pattern into the larger. The compiled matching kernel
 (:mod:`ppmetrics._kernel`) builds its capped, powered costs, solves it and
 sums the picked costs exactly rounded. Its pattern entries take two
 collections, each stacked into one point array with offsets. One solves a
-list of their pattern pairs: one pair, every pair of a distance matrix, or
-the pairs a bound-settled comparison needs in a round, all in one call.
+list of their pattern pairs, from one pair to every pair of a distance
+matrix, in one call.
 
 ``dbar2_empirical`` lifts the pattern distance to uniform empirical
 distributions of patterns, where the Wasserstein distance reduces to one
@@ -21,8 +21,10 @@ pattern-level assignment problem over the matrix of pattern distances.
 The kernel's other pattern entry solves it in one call without that whole
 matrix: every pair starts at a lower bound on its distance, and only the
 pairs that an optimal pairing of the current entries picks are solved,
-until the pairing holds only exact distances. ``dRW`` is the analogous
-lift of the relative count difference ``dR`` to count distributions.
+until the pairing holds only exact distances. The same call settles the
+comparison of dbar2 with a value, stopping at the first bound that clears
+it. ``dRW`` is the analogous lift of the relative count difference ``dR``
+to count distributions.
 """
 
 import math
@@ -30,7 +32,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from . import _kernel
 from .assignment import _check_transport_side, _check_weights, \
@@ -348,56 +349,6 @@ def _dbar2(ps, qs, params, spec, metric):
     return value
 
 
-def _nearest_sums(dist, row_counts, col_counts, p, c):
-    """Entry ``(i, j)``: the sum over the points of row block ``i`` of
-    ``min(c, distance to the nearest point of column block j) ** p``; an
-    empty column block is at distance ``c``, an empty row block sums to 0.
-    ``dist`` holds the distances between the stacked points."""
-    nearest = np.full((dist.shape[0], len(col_counts)), np.inf)
-    cols = col_counts > 0
-    if dist.size:
-        starts = np.cumsum(col_counts) - col_counts
-        nearest[:, cols] = np.minimum.reduceat(dist, starts[cols], axis=1)
-    np.minimum(nearest, c, out=nearest)
-    if p != 1.0:
-        np.power(nearest, p, out=nearest)
-    sums = np.zeros((len(row_counts), len(col_counts)))
-    rows = row_counts > 0
-    if dist.shape[0]:
-        starts = np.cumsum(row_counts) - row_counts
-        sums[rows] = np.add.reduceat(nearest, starts[rows], axis=0)
-    return sums
-
-
-def _pair_lower_bounds(ps, qs, p, c, metric):
-    """Lower bound on every entry of ``pattern_distance_matrix(ps, qs)``,
-    for two stacks.
-
-    Every point of either pattern is matched or unmatched, at a cost of at
-    least ``min(c, distance to the nearest point of the other pattern) **
-    p`` (an unmatched point costs ``c ** p``), and each of the ``n - m``
-    points left over in the larger pattern costs ``c ** p`` exactly. So
-    the pair's matching total is at least the larger of the two patterns'
-    sums of those costs, the smaller pattern's plus ``(n - m) * c ** p``.
-    All nearest distances come from one ``cdist`` of the two stacks' points.
-    ``d1`` at unequal counts is the cutoff itself.
-    """
-    if len(ps.points) and len(qs.points):
-        dist = cdist(ps.points, qs.points)
-    else:
-        dist = np.empty((len(ps.points), len(qs.points)))
-    fill = c ** p
-    m, n = ps.counts, qs.counts
-    excess = n - m[:, None]
-    total = np.maximum(
-        _nearest_sums(dist, m, n, p, c) + np.maximum(excess, 0) * fill,
-        _nearest_sums(dist.T, n, m, p, c).T + np.maximum(-excess, 0) * fill)
-    bounds = total ** (1.0 / p) / np.maximum(np.maximum.outer(m, n), 1)
-    if metric == "d1":
-        bounds[excess != 0] = c
-    return bounds
-
-
 # relative margin by which a bound must clear the compared value
 _SETTLE_MARGIN = 1e-9
 
@@ -406,50 +357,22 @@ def _dbar2_compare(ps, qs, value, params=MetricParams(), metric="dbar1"):
     """Sign of ``dbar2_empirical(ps, qs, params, None, metric) - value``.
 
     The collections must be validated stacks; only their sizes and the
-    metric name are checked, and nothing warns. Returns -1, 0 or +1,
-    and solves pattern pairs only as far as the sign needs. Any pairing of
-    the collections costs at least the optimal one, so the mean exact
-    distance over one pairing, both sides sorted by count, is an upper
-    bound. The matrix then holds those exact entries
-    and :func:`_pair_lower_bounds` elsewhere. Each round takes its optimal
-    pairing, whose mean is a lower bound, and makes that pairing's entries
-    exact, which gives a new upper bound. A bound settles the sign only
-    when it clears ``value`` by a relative ``_SETTLE_MARGIN``, far above
-    the rounding of either path, so the result always equals the sign of
-    the exact difference. Once the optimal pairing holds only exact
-    entries the two bounds meet, and a value still within the margin is
-    decided by the exact ``_dbar2``: ties come from the exact value alone.
+    metric name are checked, and nothing warns. Returns -1, 0 or +1 from
+    one ``_kernel.dbar2`` call, which solves pattern pairs only as far as
+    the sign needs: it stops at an upper bound on dbar2 (the mean exact
+    distance of one pairing) below ``value``, or at a lower bound (the mean
+    of an optimal pairing over lower bounds) above it. A bound settles the
+    sign only when it clears ``value`` by a relative ``_SETTLE_MARGIN``,
+    far above the rounding of either bound, so the result always equals the
+    sign of the exact difference. A value within the margin is compared
+    with the exact dbar2, bit-identical to ``_dbar2``: ties come from the
+    exact value alone.
     """
     _check_equal_sizes(ps, qs)
     _check_metric(metric)
-    p, c, size, d1 = params.order, params.cutoff, len(ps), metric == "d1"
-    above, below = value * (1 + _SETTLE_MARGIN), value * (1 - _SETTLE_MARGIN)
-    rows = np.argsort(ps.counts, kind="stable")
-    cols = np.argsort(qs.counts, kind="stable")
-    upper, _ = _kernel.pairs(ps, qs, rows, cols, p, c, math.inf, d1)
-    if math.fsum(upper.tolist()) / size < below:
-        return -1
-    costs = _pair_lower_bounds(ps, qs, p, c, metric)
-    costs[rows, cols] = upper
-    known = np.zeros(costs.shape, dtype=bool)
-    known[rows, cols] = True
-    rows = np.arange(size)
-    while True:
-        lower, cols = _kernel.min_cost_matching(costs, 0.0)
-        if lower / size > above:
-            return 1
-        new = ~known[rows, cols]
-        if not new.any():
-            if lower / size < below:
-                return -1
-            break
-        costs[rows[new], cols[new]], _ = _kernel.pairs(
-            ps, qs, rows[new], cols[new], p, c, math.inf, d1)
-        known[rows[new], cols[new]] = True
-        if math.fsum(costs[rows, cols].tolist()) / size < below:
-            return -1
-    exact = _dbar2(ps, qs, params, None, metric)
-    return int(exact > value) - int(exact < value)
+    r, _ = _kernel.dbar2(ps, qs, params.order, params.cutoff, math.inf, metric == "d1",
+                         value * (1 - _SETTLE_MARGIN), value * (1 + _SETTLE_MARGIN))
+    return int(r > value) - int(r < value)
 
 
 def dbar2_transport(ps, qs, params=MetricParams(), spec=None, metric="dbar1"):

@@ -215,9 +215,9 @@ def _monte_carlo(data, lam, params, n_null, alpha, rng, metric,
     reference and each null collection straight into one stack. Returns
     ``(observed, nulls, rank, threshold)``. With ``settle=True``
     each null is only compared with the observed statistic by
-    :func:`~ppmetrics.metrics._dbar2_compare`, which solves the full
-    pattern matrix only when its bounds leave the comparison open, and
-    ``nulls`` stays empty; the rank, and so the decision, is the same.
+    :func:`~ppmetrics.metrics._dbar2_compare`, which stops at the first
+    bound on the null's dbar2 that settles the comparison, and ``nulls``
+    stays empty; the rank, and so the decision, is the same.
     Null ``j`` draws pattern ``i`` from ``rng.substream(1 + j).substream(s)
     .substream(i)``, ``s = 1`` for a redrawn reference, seeded in blocks,
     and the shared reference from ``rng.substream(0).substream(i)``.
@@ -363,9 +363,9 @@ def power_study(kappa, n_patterns=12, lam=30.0, cutoff=1.0, reps=100,
     both noticeably more powerful at cutoff 1. Only the decisions are
     used, so each test stops drawing nulls once its non-rejection is
     settled (as ``homogeneity_test(early_stop=True)`` does), and each null
-    is only compared with the observed statistic: cheap upper and lower
-    bounds on its ``dbar2`` settle the comparison, and the full pattern
-    matrix is solved only when they do not. That saves the most where the
+    is only compared with the observed statistic: upper and lower bounds
+    on its ``dbar2`` settle the comparison, and its exact value is
+    computed only when they do not. That saves the most where the
     power is high, since those tests draw every null but nearly all of
     them lie far below the observed statistic. Every decision, and so the
     power, is that of the full test. A warning is issued once per call

@@ -2,6 +2,7 @@
 decisions built on it."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -10,10 +11,8 @@ from ppmetrics import _kernel, metrics
 from ppmetrics.metrics import (
     MetricParams,
     _dbar2_compare,
-    _pair_lower_bounds,
     _Stack,
     dbar2_empirical,
-    pattern_distance_matrix,
 )
 from ppmetrics.processes import UNIT_SQUARE, RngStream, sample_collection, \
     sample_poisson_fkappa
@@ -68,22 +67,38 @@ def test_dbar2_compare_of_empty_collections(metric):
                           metric) == 1
 
 
+def _tied_pairs(seed, count=12):
+    # points on a coarse grid: many pattern distances and pairings tie
+    gen = np.random.default_rng(seed)
+    for _ in range(count):
+        n_patterns = int(gen.integers(2, 7))
+        yield [[gen.integers(0, 4, (int(gen.poisson(3.0)), 2)) / 4.0
+                for _ in range(n_patterns)] for _ in range(2)]
+
+
 @pytest.mark.parametrize("order, cutoff, metric", SETTINGS)
-def test_pair_lower_bounds_never_exceed_the_pattern_distances(order, cutoff, metric):
+def test_a_settled_dbar2_is_a_bound_and_an_unsettled_one_is_exact(order, cutoff, metric):
     params = MetricParams(order, cutoff)
-    for ps, qs in _collection_pairs(int(7 * order + 50 * cutoff)):
-        bounds = _pair_lower_bounds(_Stack(ps), _Stack(qs), order, cutoff, metric)
-        exact = pattern_distance_matrix(ps, qs, params, None, metric)
-        assert bounds.shape == exact.shape
-        # the two paths sum the same costs in different orders
-        assert (bounds <= exact * (1 + 1e-12)).all()
-        # a pair with an empty pattern, or d1 at unequal counts, is bounded exactly
-        m = np.array([len(a) for a in ps])[:, None]
-        n = np.array([len(b) for b in qs])[None, :]
-        tight = (m == 0) | (n == 0)
-        if metric == "d1":
-            tight |= m != n
-        np.testing.assert_allclose(bounds[tight], exact[tight], rtol=1e-12)
+    seed = int(7 * order + 50 * cutoff)
+    settled = 0
+    for ps, qs in itertools.chain(_collection_pairs(seed), _tied_pairs(seed)):
+        xs, ys = _Stack(ps), _Stack(qs)
+        exact = dbar2_empirical(ps, qs, params, None, metric)
+        values = [exact, np.nextafter(exact, -1.0), np.nextafter(exact, 2.0), 0.0,
+                  0.9 * exact, 1.1 * exact]
+        # below > above would leave a value between them ambiguous
+        for below, above in itertools.combinations_with_replacement(sorted(values), 2):
+            r, solved = _kernel.dbar2(xs, ys, order, cutoff, math.inf, metric == "d1",
+                                      below, above)
+            assert 0 <= solved <= len(ps) ** 2
+            if r > above:
+                assert exact >= r
+            elif r < below:
+                assert exact <= r
+            else:
+                assert r == exact
+            settled += r != exact
+    assert settled > 0
 
 
 def test_dbar2_compare_settles_far_values_without_the_full_matrix(monkeypatch):
@@ -93,22 +108,23 @@ def test_dbar2_compare_settles_far_values_without_the_full_matrix(monkeypatch):
     params = MetricParams(1.0, 0.3)
     exact = dbar2_empirical(ps, qs, params)
     solved = []
-    pairs = _kernel.pairs
+    dbar2 = _kernel.dbar2
 
-    def counted(xs, ys, rows, cols, *args):
-        solved.extend(zip(rows, cols))
-        return pairs(xs, ys, rows, cols, *args)
+    def counted(*args):
+        value, count = dbar2(*args)
+        solved.append(count)
+        return value, count
 
     def refused(*args, **kwargs):
         raise AssertionError("the full pattern matrix was solved")
 
-    monkeypatch.setattr(_kernel, "pairs", counted)
+    monkeypatch.setattr(_kernel, "dbar2", counted)
     monkeypatch.setattr(metrics, "_dbar2", refused)
     assert _dbar2_compare(_Stack(ps), _Stack(qs), 1.5 * exact, params) == -1
-    assert len(solved) == 8
+    assert solved == [8]
     solved.clear()
     assert _dbar2_compare(_Stack(ps), _Stack(qs), 0.5 * exact, params) == 1
-    assert len(solved) < 64
+    assert len(solved) == 1 and solved[0] < 64
 
 
 def test_dbar2_compare_rejects_what_dbar2_empirical_rejects():

@@ -8,6 +8,7 @@ import shutil
 import stat
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -301,3 +302,20 @@ def test_an_unusable_cache_falls_back_to_a_private_temporary_directory(tmp_path)
     code, err = _finish(_import(env))
     assert code != 0 and "not private to this user" in err
     assert list(private.iterdir()) == []
+
+
+def test_a_build_deletes_only_the_stale_libraries_of_its_cache(tmp_path):
+    cache = tmp_path / "cache" / "ppmetrics"
+    cache.mkdir(parents=True)
+    stale, fresh, other = (cache / name for name in
+                           ("_kernel-stale.so", "_kernel-fresh.so", "notes.so"))
+    for path in (stale, fresh, other):
+        path.write_text("")
+    two_days_ago = time.time() - 2 * 86400
+    for path in (stale, other):
+        os.utime(path, (two_days_ago, two_days_ago))
+    code, err = _finish(_import(_import_env(tmp_path, os.environ.get("PATH", ""))))
+    assert code == 0, err
+    assert not stale.exists() and fresh.exists() and other.exists()
+    built = [path.name for path in cache.iterdir() if path not in (fresh, other)]
+    assert len(built) == 1 and built[0].startswith("_kernel-")
