@@ -17,10 +17,11 @@
  * empirical dbar2 of two stacked collections of one size, solving only the
  * pattern pairs that an optimal pairing over lower bounds of the others
  * picks, or stops at a bound on it that clears a threshold, which settles a
- * comparison of dbar2 with a value.  Arrays are C-contiguous; indices are
- * intptr_t (numpy's intp).  Each entry returns 0 or one of the PPM_* codes
- * below.  Build with -ffp-contract=off, so that no multiply-add is fused
- * and the ground costs round as numpy's.
+ * comparison of dbar2 with a value.  A stack of total points holds them
+ * coordinate-major, coordinate k of point j at points[k * total + j]; other
+ * arrays are C-contiguous.  Indices are intptr_t (numpy's intp).  Each entry
+ * returns 0 or one of the PPM_* codes below.  Build with -ffp-contract=off,
+ * so that no multiply-add is fused and the ground costs round as numpy's.
  */
 #include <float.h>
 #include <math.h>
@@ -98,19 +99,16 @@ static double fsum_result(const fsum_t *s)
 }
 
 /* Workspace of one solver; sized once for the largest problem of a call.
- * costs holds the pattern costs of a pair, built from points_t, its larger
- * pattern's points coordinate by coordinate (dim of them per column). */
+ * costs holds the pattern costs of a pair. */
 typedef struct {
-    double *u, *v, *dist;
+    double *u, *v, *dist, *costs;
     intptr_t *path, *col4row, *row4col, *remaining, *rows_seen, *cols_seen;
-    double *costs, *points_t;
     void *block;
 } work_t;
 
-static int work_alloc(work_t *w, intptr_t rows, intptr_t cols, intptr_t cells,
-                      intptr_t dim)
+static int work_alloc(work_t *w, intptr_t rows, intptr_t cols, intptr_t cells)
 {
-    size_t nd = (size_t)rows + (2 + (size_t)dim) * (size_t)cols + (size_t)cells;
+    size_t nd = (size_t)rows + 2 * (size_t)cols + (size_t)cells;
     size_t ni = 2 * (size_t)rows + 4 * (size_t)cols;
     w->block = malloc(nd * sizeof(double) + ni * sizeof(intptr_t) + 1);
     if (w->block == NULL)
@@ -119,8 +117,7 @@ static int work_alloc(work_t *w, intptr_t rows, intptr_t cols, intptr_t cells,
     w->v = w->u + rows;
     w->dist = w->v + cols;
     w->costs = w->dist + cols;
-    w->points_t = w->costs + cells;
-    w->path = (intptr_t *)(w->points_t + (size_t)dim * (size_t)cols);
+    w->path = (intptr_t *)(w->costs + cells);
     w->row4col = w->path + cols;
     w->remaining = w->row4col + cols;
     w->cols_seen = w->remaining + cols;
@@ -301,28 +298,20 @@ static inline double capped_cost(double s, const metric_t *g)
     return g->p == 1.0 ? d : pow(d, g->p);
 }
 
-/* Points of a pattern coordinate by coordinate: out[k * n + j] = x[j][k]. */
-static void transpose(const double *x, intptr_t n, intptr_t dim, double *out)
-{
-    intptr_t j, k;
-    for (j = 0; j < n; j++)
-        for (k = 0; k < dim; k++)
-            out[k * n + j] = x[j * dim + k];
-}
-
-/* Squared distances of the point x to the n points of b_t, which holds them
- * coordinate by coordinate, into line.  Each is summed over the coordinates
- * in order, and the loops over the points vectorize. */
-static void squared_distances(const double *x, const double *b_t, intptr_t n,
-                              intptr_t dim, double *restrict line)
+/* Squared distances of the point x to the n points b[0 .. n) into line,
+ * where x and b step to their next coordinate by sx and sb.  Each is summed
+ * over the coordinates in order, and the loops over the points vectorize. */
+static void squared_distances(const double *x, intptr_t sx, const double *b,
+                              intptr_t sb, intptr_t n, intptr_t dim,
+                              double *restrict line)
 {
     intptr_t j, k;
     for (j = 0; j < n; j++) {
-        double t = x[0] - b_t[j];
+        double t = x[0] - b[j];
         line[j] = t * t;
     }
     for (k = 1; k < dim; k++) {
-        const double xk = x[k], *restrict bk = b_t + k * n;
+        const double xk = x[k * sx], *restrict bk = b + k * sb;
         for (j = 0; j < n; j++) {
             double t = xk - bk[j];
             line[j] += t * t;
@@ -331,26 +320,28 @@ static void squared_distances(const double *x, const double *b_t, intptr_t n,
 }
 
 /* One pattern pair as its cost matrix sees it: the smaller pattern a (m
- * points) as rows, the larger b (n points) as columns; swap is set when a
- * is the ys pattern. */
+ * points, stride sa) as rows, the larger b (n points, stride sb) as
+ * columns; swap is set when a is the ys pattern. */
 typedef struct {
     const double *a, *b;
-    intptr_t m, n;
+    intptr_t m, n, sa, sb;
     int swap;
 } pair_t;
 
-/* Pair (r, s): pattern r of xs against pattern s of ys. */
-static pair_t pair_of(const double *xs, const intptr_t *xoff, const double *ys,
-                      const intptr_t *yoff, intptr_t dim, intptr_t r, intptr_t s)
+/* Pair (r, s): pattern r of xs (xn points) against pattern s of ys (yn). */
+static pair_t pair_of(const double *xs, const intptr_t *xoff, intptr_t xn,
+                      const double *ys, const intptr_t *yoff, intptr_t yn,
+                      intptr_t r, intptr_t s)
 {
-    const double *x = xs + xoff[r] * dim, *y = ys + yoff[s] * dim;
     intptr_t nx = xoff[r + 1] - xoff[r], ny = yoff[s + 1] - yoff[s];
     pair_t q;
     q.swap = nx > ny;
-    q.a = q.swap ? y : x;
-    q.b = q.swap ? x : y;
+    q.a = q.swap ? ys + yoff[s] : xs + xoff[r];
+    q.b = q.swap ? xs + xoff[r] : ys + yoff[s];
     q.m = q.swap ? ny : nx;
     q.n = q.swap ? nx : ny;
+    q.sa = q.swap ? yn : xn;
+    q.sb = q.swap ? xn : yn;
     return q;
 }
 
@@ -371,10 +362,9 @@ static int pair_solve(pair_t q, const metric_t *g, work_t *w, double *value)
         *value = g->c < g->cap ? g->c : g->cap;
         return 0;
     }
-    transpose(q.b, q.n, g->dim, w->points_t);
     for (i = 0; i < q.m; i++) {
         double *restrict row = w->costs + i * q.n;
-        squared_distances(q.a + i * g->dim, w->points_t, q.n, g->dim, row);
+        squared_distances(q.a + i, q.sa, q.b, q.sb, q.n, g->dim, row);
         for (j = 0; j < q.n; j++)
             row[j] = capped_cost(row[j], g);
     }
@@ -404,7 +394,7 @@ int ppm_min_cost_matching(const double *cost, intptr_t m, intptr_t n, double fil
     work_t w;
     intptr_t i;
     int status;
-    if (work_alloc(&w, m, n, 0, 0))
+    if (work_alloc(&w, m, n, 0))
         return PPM_NO_MEMORY;
     status = solve_total(m, n, cost, fill, &w, total);
     for (i = 0; !status && i < m; i++)
@@ -413,9 +403,9 @@ int ppm_min_cost_matching(const double *cost, intptr_t m, intptr_t n, double fil
     return status;
 }
 
-/* Pattern distances of count pattern pairs of two stacked collections, where
- * pattern k of a collection is points[off[k]:off[k + 1]] of its (total, dim)
- * array: pair t is pattern rows[t] of xs (m points) and pattern cols[t] of ys
+/* Pattern distances of count pattern pairs of two stacked collections of xn
+ * and yn points, where pattern k of a stack is its points off[k] .. off[k + 1]:
+ * pair t is pattern rows[t] of xs (m points) and pattern cols[t] of ys
  * (n points), and values[t] its distance, with fill = c ** p.  The smaller
  * pattern is matched into the larger.  match holds max(m, n) rows (i, j) per
  * pair, pair after pair, one per point of the larger pattern: point i of the
@@ -423,19 +413,19 @@ int ppm_min_cost_matching(const double *cost, intptr_t m, intptr_t n, double fil
  * left unmatched.  With d1 set, patterns of different counts are at
  * min(c, cap) and not paired: every row of theirs is (-1, -1). */
 int ppm_pairs(const double *xs, const intptr_t *xoff, const double *ys,
-              const intptr_t *yoff, intptr_t dim, const intptr_t *rows,
-              const intptr_t *cols, intptr_t count, double p, double c,
-              double cap, int d1, double *values, intptr_t *match)
+              const intptr_t *yoff, intptr_t dim, intptr_t xn, intptr_t yn,
+              const intptr_t *rows, const intptr_t *cols, intptr_t count, double p,
+              double c, double cap, int d1, double *values, intptr_t *match)
 {
     metric_t g = metric_of(dim, p, c, cap, d1);
     work_t w;
     intptr_t t, k, most_x = largest(xoff, rows, count), most_y = largest(yoff, cols, count);
     intptr_t most = most_x > most_y ? most_x : most_y;
     int status = 0;
-    if (work_alloc(&w, most, most, most_x * most_y, dim))
+    if (work_alloc(&w, most, most, most_x * most_y))
         return PPM_NO_MEMORY;
     for (t = 0; !status && t < count; t++) {
-        pair_t q = pair_of(xs, xoff, ys, yoff, dim, rows[t], cols[t]);
+        pair_t q = pair_of(xs, xoff, xn, ys, yoff, yn, rows[t], cols[t]);
         status = pair_solve(q, &g, &w, &values[t]);
         /* row4col[k] is the point of the smaller pattern matched to point k
          * of the larger */
@@ -451,26 +441,22 @@ int ppm_pairs(const double *xs, const intptr_t *xoff, const double *ys,
 }
 
 /* Scratch of the bound scan of one pair, sized for the largest pattern:
- * each pattern's points coordinate by coordinate, one line of squared
- * distances, per point the cheapest and second cheapest cost to the other
- * pattern and the first point at the cheapest, and the group leaders of
- * side_bound. */
+ * one line of squared distances, per point the cheapest and second cheapest
+ * cost to the other pattern and the first point at the cheapest, and the
+ * group leaders of side_bound. */
 typedef struct {
-    double *rows_t, *cols_t, *line, *at, *row_min, *row_sec, *col_min, *col_sec;
+    double *line, *at, *row_min, *row_sec, *col_min, *col_sec;
     intptr_t *row_arg, *col_arg, *best;
     void *block;
 } scan_t;
 
-static int scan_alloc(scan_t *s, intptr_t most, intptr_t dim)
+static int scan_alloc(scan_t *s, intptr_t most)
 {
     size_t k = (size_t)most;
-    s->block = malloc((6 + 2 * (size_t)dim) * k * sizeof(double) +
-                      3 * k * sizeof(intptr_t) + 1);
+    s->block = malloc(6 * k * sizeof(double) + 3 * k * sizeof(intptr_t) + 1);
     if (s->block == NULL)
         return PPM_NO_MEMORY;
-    s->rows_t = (double *)s->block;
-    s->cols_t = s->rows_t + (size_t)dim * k;
-    s->line = s->cols_t + (size_t)dim * k;
+    s->line = (double *)s->block;
     s->at = s->line + k;
     s->row_min = s->at + k;
     s->row_sec = s->row_min + k;
@@ -482,8 +468,8 @@ static int scan_alloc(scan_t *s, intptr_t most, intptr_t dim)
     return 0;
 }
 
-/* For each point j of b (n points, coordinate-major in b_t), over the m
- * points i of a: the least squared distance lo[j], the second least sec[j]
+/* For each point j of b (n points, stride sb), over the m points i of a
+ * (stride sa): the least squared distance lo[j], the second least sec[j]
  * and the first point at the least, arg[j].  The loops over j carry no
  * value from one j to the next, and each holds only selects that gcc -O3
  * turns into vector min, max and blend instructions: at holds the points
@@ -491,8 +477,9 @@ static int scan_alloc(scan_t *s, intptr_t most, intptr_t dim)
  * of at is a loop of its own, since gcc vectorizes neither an integer
  * select on a double comparison nor the two loops as one.  On random
  * distances a branch mispredicts often. */
-static void nearest(const double *a, intptr_t m, const double *b_t, intptr_t n,
-                    intptr_t dim, double *restrict line, double *restrict at,
+static void nearest(const double *a, intptr_t sa, intptr_t m, const double *b,
+                    intptr_t sb, intptr_t n, intptr_t dim,
+                    double *restrict line, double *restrict at,
                     double *restrict lo, double *restrict sec,
                     intptr_t *restrict arg)
 {
@@ -503,7 +490,7 @@ static void nearest(const double *a, intptr_t m, const double *b_t, intptr_t n,
     }
     for (i = 0; i < m; i++) {
         const double point = (double)i;
-        squared_distances(a + i * dim, b_t, n, dim, line);
+        squared_distances(a + i, sa, b, sb, n, dim, line);
         for (j = 0; j < n; j++)
             at[j] = line[j] < lo[j] ? point : at[j];
         /* the second least is min(sec, max(lo, d)) */
@@ -568,9 +555,8 @@ static int pair_bound(pair_t q, const metric_t *g, scan_t *s, double *total,
     double by_rows, by_cols;
     intptr_t k;
     int alone;
-    transpose(q.a, q.m, g->dim, s->rows_t);
-    nearest(q.b, q.n, s->rows_t, q.m, g->dim, s->line, s->at, s->row_min, s->row_sec,
-            s->row_arg);
+    nearest(q.b, q.sb, q.n, q.a, q.sa, q.m, g->dim, s->line, s->at, s->row_min,
+            s->row_sec, s->row_arg);
     for (k = 0; k < q.m; k++) {
         s->row_min[k] = capped_cost(s->row_min[k], g);
         /* a lone column is no tie */
@@ -581,9 +567,8 @@ static int pair_bound(pair_t q, const metric_t *g, scan_t *s, double *total,
     if (*exact)
         return total_of(s->row_min, q.m, q.n, fill, total);
     by_rows += (double)(q.n - q.m) * fill;
-    transpose(q.b, q.n, g->dim, s->cols_t);
-    nearest(q.a, q.m, s->cols_t, q.n, g->dim, s->line, s->at, s->col_min, s->col_sec,
-            s->col_arg);
+    nearest(q.a, q.sa, q.m, q.b, q.sb, q.n, g->dim, s->line, s->at, s->col_min,
+            s->col_sec, s->col_arg);
     for (k = 0; k < q.n; k++) {
         double lo = capped_cost(s->col_min[k], g), sec = capped_cost(s->col_sec[k], g);
         s->col_min[k] = lo < fill ? lo : fill;
@@ -618,9 +603,10 @@ static int pairing_total(const double *dist, const intptr_t *cols, intptr_t size
     return total_of(picked, size, size, 0.0, total);
 }
 
-/* Exact empirical dbar2 of two stacks of size patterns each: the mean
- * pattern distance (as ppm_pairs gives it) under an optimal pairing of the
- * patterns, in *value, and the number of pairs solved in *solved.
+/* Exact empirical dbar2 of two stacks of size patterns each, whose point
+ * totals off[size] are their strides: the mean pattern distance (as
+ * ppm_pairs gives it) under an optimal pairing of the patterns, in *value,
+ * and the number of pairs solved in *solved.
  *
  * Every entry of the size x size matrix of pattern distances starts at a
  * lower bound (pair_bound), or at the distance itself where that needs no
@@ -628,9 +614,11 @@ static int pairing_total(const double *dist, const intptr_t *cols, intptr_t size
  * the pairs it picked that still hold bounds.  A round that picks only
  * exact entries ends the loop: its pairing costs no more under the exact
  * distances than the optimum over entries that are never above them, so it
- * is optimal, and the value is summed as ppm_min_cost_matching sums it.
- * After PPM_ROUNDS_PER_PATTERN * size rounds every pair left is solved, so
- * the next round ends the loop.  A pair's costs are built again when it is
+ * is optimal, and its value is summed as ppm_min_cost_matching sums one.
+ * Where two pairings tie in real arithmetic, that of the full matrix may be
+ * the other, and the two values then differ in their last bits.  After
+ * PPM_ROUNDS_PER_PATTERN * size rounds every pair left is solved, so the
+ * next round ends the loop.  A pair's costs are built again when it is
  * solved, which keeps memory at the matrix plus the largest pair.
  *
  * A finite below asks only how dbar2 compares with below and above.  The
@@ -650,16 +638,17 @@ int ppm_dbar2(const double *xs, const intptr_t *xoff, const double *ys,
     double *dist = NULL, total = 0.0, upper;
     intptr_t *order;
     unsigned char *state = NULL;
-    intptr_t i, k, cells = size * size, rounds = 0, most_x = largest(xoff, NULL, size);
-    intptr_t most_y = largest(yoff, NULL, size), most = most_x > most_y ? most_x : most_y;
+    intptr_t i, k, cells = size * size, rounds = 0, xn = xoff[size], yn = yoff[size];
+    intptr_t most_x = largest(xoff, NULL, size), most_y = largest(yoff, NULL, size);
+    intptr_t most = most_x > most_y ? most_x : most_y;
     int status = PPM_NO_MEMORY, pending = 1, compare = below > -INFINITY;
     *solved = 0;
     inner.block = outer.block = scan.block = NULL;
     dist = malloc((size_t)cells * sizeof(double) + 2 * (size_t)size * sizeof(intptr_t) + 1);
     state = calloc((size_t)cells + 1, 1); /* every entry at BOUND */
-    if (dist == NULL || state == NULL || scan_alloc(&scan, most, dim) ||
-        work_alloc(&inner, most, most, most_x * most_y, dim) ||
-        work_alloc(&outer, size, size, 0, 0))
+    if (dist == NULL || state == NULL || scan_alloc(&scan, most) ||
+        work_alloc(&inner, most, most, most_x * most_y) ||
+        work_alloc(&outer, size, size, 0))
         goto done;
     status = 0;
     order = (intptr_t *)(dist + cells);
@@ -667,7 +656,7 @@ int ppm_dbar2(const double *xs, const intptr_t *xoff, const double *ys,
         sort_by_count(xoff, size, order);
         sort_by_count(yoff, size, order + size);
         for (i = 0; !status && i < size; i++) {
-            pair_t q = pair_of(xs, xoff, ys, yoff, dim, order[i], order[size + i]);
+            pair_t q = pair_of(xs, xoff, xn, ys, yoff, yn, order[i], order[size + i]);
             k = order[i] * size + order[size + i];
             status = pair_solve(q, &g, &inner, &dist[k]);
             state[k] = EXACT;
@@ -679,7 +668,7 @@ int ppm_dbar2(const double *xs, const intptr_t *xoff, const double *ys,
         pending = !(total / (double)size < below);
     }
     for (k = 0; !status && pending && k < cells; k++) {
-        pair_t q = pair_of(xs, xoff, ys, yoff, dim, k / size, k % size);
+        pair_t q = pair_of(xs, xoff, xn, ys, yoff, yn, k / size, k % size);
         int exact = d1 && q.m != q.n;
         if (state[k] == EXACT)
             continue;
@@ -712,7 +701,7 @@ int ppm_dbar2(const double *xs, const intptr_t *xoff, const double *ys,
         for (k = 0; !status && k < cells; k++) {
             if (state[k] != PICKED)
                 continue;
-            status = pair_solve(pair_of(xs, xoff, ys, yoff, dim, k / size, k % size),
+            status = pair_solve(pair_of(xs, xoff, xn, ys, yoff, yn, k / size, k % size),
                                 &g, &inner, &dist[k]);
             state[k] = EXACT;
             ++*solved;

@@ -134,8 +134,8 @@ def _declare(lib):
     ptr, size, real = ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_double
     lib.ppm_min_cost_matching.argtypes = [ptr, size, size, real, ptr, ptr]
     lib.ppm_min_cost_matching.restype = ctypes.c_int
-    lib.ppm_pairs.argtypes = [ptr, ptr, ptr, ptr, size, ptr, ptr, size, real, real,
-                              real, ctypes.c_int, ptr, ptr]
+    lib.ppm_pairs.argtypes = [ptr, ptr, ptr, ptr, size, size, size, ptr, ptr, size,
+                              real, real, real, ctypes.c_int, ptr, ptr]
     lib.ppm_pairs.restype = ctypes.c_int
     lib.ppm_dbar2.argtypes = [ptr, ptr, ptr, ptr, size, size, real, real, real,
                               ctypes.c_int, real, real, ptr, ptr]
@@ -154,14 +154,16 @@ def _check(status):
 
 # The float64 inputs are handed over as ``tobytes()`` copies, which ctypes
 # passes as pointers to their buffers: a copy of a pattern costs far less
-# than ``ndarray.ctypes``, and it is C-contiguous whatever the input's
-# layout. Before a call, every buffer's size is checked against the counts
-# the kernel will read it by, and every index against the range it indexes.
+# than ``ndarray.ctypes``, and it has the layout the kernel reads whatever
+# the input's: a cost matrix row by row, and a stack's points coordinate by
+# coordinate, so that the kernel reads each pattern where it lies. Before a
+# call, every buffer's size is checked against the counts the kernel will
+# read it by, and every index against the range it indexes.
 # The outputs are numpy arrays passed as ``.ctypes.data``: their lengths vary
 # from call to call, and ctypes would build a new array type for each new one.
 
-def _points(x, count, dim):
-    data = x.tobytes()
+def _points(x, count, dim, order="C"):
+    data = x.tobytes(order)
     if len(data) != 8 * count * dim:
         raise ValueError(f"expected {count} float64 points of dimension {dim}, "
                          f"got an array of shape {x.shape} and type {x.dtype}")
@@ -169,11 +171,13 @@ def _points(x, count, dim):
 
 
 def _stacks(xs, ys):
-    """The points and offsets of two stacks, and their dimension."""
+    """The points, coordinate-major, and offsets of two stacks, and their
+    dimension; a stack's point total, its last offset, is its stride."""
     dim = (xs if len(xs.points) else ys).points.shape[1]
-    return (_points(xs.points, xs.offsets[-1], dim), xs.offsets.astype(np.intp).tobytes(),
-            _points(ys.points, ys.offsets[-1], dim), ys.offsets.astype(np.intp).tobytes(),
-            dim)
+    return (_points(xs.points, xs.offsets[-1], dim, "F"),
+            xs.offsets.astype(np.intp).tobytes(),
+            _points(ys.points, ys.offsets[-1], dim, "F"),
+            ys.offsets.astype(np.intp).tobytes(), dim)
 
 
 def min_cost_matching(costs, fill):
@@ -210,20 +214,23 @@ def pairs(xs, ys, rows, cols, p, c, cap, d1):
                          f"and [0, {sizes[1]}) for cols") from None
     slots = int(np.maximum(xs.counts[rows], ys.counts[cols]).sum())
     values, match = np.empty(len(rows)), np.empty((slots, 2), dtype=np.intp)
-    _check(_lib.ppm_pairs(*_stacks(xs, ys), rows.tobytes(), cols.tobytes(), len(rows),
-                          p, c, cap, d1, values.ctypes.data, match.ctypes.data))
+    _check(_lib.ppm_pairs(*_stacks(xs, ys), int(xs.offsets[-1]), int(ys.offsets[-1]),
+                          rows.tobytes(), cols.tobytes(), len(rows), p, c, cap, d1,
+                          values.ctypes.data, match.ctypes.data))
     return values, match
 
 
 def dbar2(xs, ys, p, c, cap, d1, below=-math.inf, above=math.inf):
     """``(value, solved)`` of the stacked collections ``xs`` and ``ys`` of
     one size N, with ``p``, ``c``, ``cap`` and ``d1`` as in :func:`pairs`:
-    ``value`` is their exact empirical dbar2, bit-identical to
-    ``min_cost_matching`` of the N x N matrix of ``pairs`` values over N,
-    and ``solved`` the number of pattern pairs it solved. Each pair starts
-    at a lower bound on its distance, or at the distance where that needs
-    no solve, and is solved only when an optimal pairing over the current
-    entries picks it.
+    ``value`` is their exact empirical dbar2 and ``solved`` the number of
+    pattern pairs it solved. The value can differ from ``min_cost_matching``
+    of the N x N matrix of ``pairs`` values over N only in its last bits,
+    and only where two pairings tie in real arithmetic: the two may then sum
+    different ones, and a tie in ``homogeneity_test``'s count needs equal
+    bits. Each pair starts at a lower bound on its distance, or at the
+    distance where that needs no solve, and is solved only when an optimal
+    pairing over the current entries picks it.
 
     With a finite ``below`` the call settles a comparison. It first solves
     the pairing of the two collections each sorted by count (stably), and

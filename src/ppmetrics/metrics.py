@@ -37,8 +37,7 @@ from . import _kernel
 from .assignment import _check_transport_side, _check_weights, \
     solve_transportation
 from .errors import check_count, check_real
-from .geometry import GroundMetricSpec, as_pattern, common_dimension, \
-    pairwise_ground_distances
+from .geometry import GroundMetricSpec, as_pattern, common_dimension
 
 __all__ = [
     "MetricParams",
@@ -281,9 +280,10 @@ def _as_collections(ps, qs, metric):
 
 class _Stack:
     """Validated patterns of one dimension stacked in one float64 ``(total,
-    D)`` array, the collection layout of the matching kernel: pattern ``k``
-    is ``points[offsets[k]:offsets[k + 1]]``. An empty pattern, whatever
-    its own dimension, adds no point."""
+    D)`` array, the collection layout of the matching kernel, which is
+    handed it coordinate-major: pattern ``k`` is
+    ``points[offsets[k]:offsets[k + 1]]``. An empty pattern, whatever its
+    own dimension, adds no point."""
 
     __slots__ = ("points", "offsets", "counts")
 
@@ -341,9 +341,13 @@ def dbar2_empirical(ps, qs, params=MetricParams(), spec=None, metric="dbar1"):
 
 def _dbar2(ps, qs, params, spec, metric):
     """``dbar2_empirical`` of two stacks of equal size, in one kernel call
-    that solves only the pattern pairs an optimal pairing needs; the value
-    is bit-identical to ``min_cost_matching`` of ``_distance_matrix`` over
-    the size."""
+    that solves only the pattern pairs an optimal pairing needs. The value
+    is exact: it differs from ``min_cost_matching`` of ``_distance_matrix``
+    over the size only in its last bits, and only where two pairings tie in
+    real arithmetic, since the two may then sum different ones.
+    ``homogeneity_test`` counts a null as tied with the observed statistic
+    only when the two are equal bit for bit, so a null whose pairings tie
+    the observed one's in real arithmetic may count as above or below it."""
     value, _ = _kernel.dbar2(ps, qs, params.order, params.cutoff, _cap(spec),
                              metric == "d1")
     return value
@@ -398,11 +402,9 @@ def dW_empirical(xs, ys, spec=GroundMetricSpec()):
     the samples; a consistent estimator of the Wasserstein distance between
     the sampled location distributions.
     """
-    costs = pairwise_ground_distances(xs, ys, spec)
-    n, m = costs.shape
-    if n != m:
-        raise ValueError(f"sample sizes differ: {n} vs {m}")
-    if n == 0:
+    xs, ys = _as_pair(xs, ys)
+    if len(xs) != len(ys):
+        raise ValueError(f"sample sizes differ: {len(xs)} vs {len(ys)}")
+    if len(xs) == 0:
         raise ValueError("samples must be nonempty")
-    total, _ = _kernel.min_cost_matching(costs, 0.0)
-    return total / n
+    return _pair_matching(xs, ys, 1.0, spec.cap, None)[0]

@@ -76,6 +76,18 @@ def _tied_pairs(seed, count=12):
                 for _ in range(n_patterns)] for _ in range(2)]
 
 
+def test_dbar2_of_a_tied_pairing_may_round_above_the_full_matrix():
+    # two pairings of these collections tie in real arithmetic, and the
+    # lazy loop sums the other one than the full matrix: 2 ulp above it
+    ps, qs = next(itertools.islice(
+        itertools.chain(_collection_pairs(0), _tied_pairs(0, 20)), 20, None))
+    xs, ys = _Stack(ps), _Stack(qs)
+    lazy, _ = _kernel.dbar2(xs, ys, 1.5, 0.05, math.inf, False)
+    costs = metrics._distance_matrix(xs, ys, MetricParams(1.5, 0.05), None, "dbar1")
+    full = _kernel.min_cost_matching(costs, 0.0)[0] / len(ps)
+    assert 0 <= lazy - full <= 4 * math.ulp(full)
+
+
 @pytest.mark.parametrize("order, cutoff, metric", SETTINGS)
 def test_a_settled_dbar2_is_a_bound_and_an_unsettled_one_is_exact(order, cutoff, metric):
     params = MetricParams(order, cutoff)

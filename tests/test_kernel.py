@@ -2,6 +2,7 @@
 the loader that builds it on first import."""
 
 import ctypes
+import itertools
 import math
 import os
 import shutil
@@ -237,6 +238,36 @@ def test_the_round_cap_solves_every_pair_left_and_keeps_the_value(tmp_path, monk
         assert solved <= capped_solved <= size * size
         more += capped_solved > solved
     assert more >= 3
+
+
+def _layouts(stack):
+    """``stack`` with its points C-ordered, as a Fortran-ordered copy and as
+    a non-contiguous view."""
+    wide = np.zeros((len(stack.points), 2 * stack.points.shape[1]))
+    wide[:, ::2] = stack.points
+    for points in (stack.points, np.asfortranarray(stack.points), wide[:, ::2]):
+        copy = _Stack([])
+        copy.points, copy.offsets, copy.counts = points, stack.offsets, stack.counts
+        yield copy
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+def test_the_kernel_reads_a_stack_alike_in_every_memory_layout(dim):
+    gen = np.random.default_rng(dim)
+    # two point totals, so that the two strides differ, and one of 0
+    xs = _Stack([gen.random((k, dim)) for k in (4, 0, 9, 1, 6)])
+    ys = _Stack([gen.random((k, dim)) for k in (7, 3, 0, 12, 2)])
+    empty = _Stack([np.empty((0, dim))] * 5)
+    rows, cols = np.indices((5, 5)).reshape(2, -1)
+    for a, b in ((xs, ys), (ys, xs), (xs, empty), (empty, ys)):
+        for p, c, d1 in ((1.0, 0.3, False), (1.5, 1.0, True)):
+            seen = set()
+            for xa, yb in itertools.product(_layouts(a), _layouts(b)):
+                values, match = _kernel.pairs(xa, yb, rows, cols, p, c, math.inf, d1)
+                seen.add((values.tobytes(), match.tobytes(),
+                          _kernel.dbar2(xa, yb, p, c, math.inf, d1)))
+            assert len(seen) == 1
+
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(ppmetrics.__file__)))
 
