@@ -441,30 +441,27 @@ int ppm_pairs(const double *xs, const intptr_t *xoff, const double *ys,
 }
 
 /* Scratch of the bound scan of one pair, sized for the largest pattern:
- * one line of squared distances, per point the cheapest and second cheapest
- * cost to the other pattern and the first point at the cheapest, and the
- * group leaders of side_bound. */
+ * one line of squared distances, per point of the smaller pattern the
+ * cheapest and second cheapest cost to the larger and the first point at
+ * the cheapest, and the group leaders of side_bound. */
 typedef struct {
-    double *line, *at, *row_min, *row_sec, *col_min, *col_sec;
-    intptr_t *row_arg, *col_arg, *best;
+    double *line, *at, *row_min, *row_sec;
+    intptr_t *row_arg, *best;
     void *block;
 } scan_t;
 
 static int scan_alloc(scan_t *s, intptr_t most)
 {
     size_t k = (size_t)most;
-    s->block = malloc(6 * k * sizeof(double) + 3 * k * sizeof(intptr_t) + 1);
+    s->block = malloc(4 * k * sizeof(double) + 2 * k * sizeof(intptr_t) + 1);
     if (s->block == NULL)
         return PPM_NO_MEMORY;
     s->line = (double *)s->block;
     s->at = s->line + k;
     s->row_min = s->at + k;
     s->row_sec = s->row_min + k;
-    s->col_min = s->row_sec + k;
-    s->col_sec = s->col_min + k;
-    s->row_arg = (intptr_t *)(s->col_sec + k);
-    s->col_arg = s->row_arg + k;
-    s->best = s->col_arg + k;
+    s->row_arg = (intptr_t *)(s->row_sec + k);
+    s->best = s->row_arg + k;
     return 0;
 }
 
@@ -540,21 +537,17 @@ static double side_bound(const double *lo, double *sec, const intptr_t *arg,
  * itself, and then *exact is set.
  *
  * Each row (a point of the smaller pattern) is matched, at its cheapest cost
- * or more, and the n - m columns left over cost fill; each column is matched
- * at its cheapest cost or more, or costs fill, which no cost exceeds.  Each
- * side's sum is sharpened by side_bound, and the bound is the larger of the
- * two.  When every row has a cheapest column of its own and no tie for it,
- * solve's row reduction is already optimal, and the total is summed as
- * solve_total would.  The scan orders squared distances and caps only the
- * cheapest and second cheapest: capped_cost never decreases, so it maps them
- * to the cheapest and second cheapest costs. */
+ * or more, and the n - m columns left over cost fill; side_bound sharpens
+ * the sum of the rows.  When every row has a cheapest column of its own and
+ * no tie for it, solve's row reduction is already optimal, and the total is
+ * summed as solve_total would.  The scan orders squared distances and caps
+ * only the cheapest and second cheapest: capped_cost never decreases, so it
+ * maps them to the cheapest and second cheapest costs. */
 static int pair_bound(pair_t q, const metric_t *g, scan_t *s, double *total,
                       int *exact)
 {
-    const double fill = g->fill;
-    double by_rows, by_cols;
+    double by_rows;
     intptr_t k;
-    int alone;
     nearest(q.b, q.sb, q.n, q.a, q.sa, q.m, g->dim, s->line, s->at, s->row_min,
             s->row_sec, s->row_arg);
     for (k = 0; k < q.m; k++) {
@@ -565,18 +558,8 @@ static int pair_bound(pair_t q, const metric_t *g, scan_t *s, double *total,
     by_rows = side_bound(s->row_min, s->row_sec, s->row_arg, q.m, q.n, s->best,
                          exact);
     if (*exact)
-        return total_of(s->row_min, q.m, q.n, fill, total);
-    by_rows += (double)(q.n - q.m) * fill;
-    nearest(q.a, q.sa, q.m, q.b, q.sb, q.n, g->dim, s->line, s->at, s->col_min,
-            s->col_sec, s->col_arg);
-    for (k = 0; k < q.n; k++) {
-        double lo = capped_cost(s->col_min[k], g), sec = capped_cost(s->col_sec[k], g);
-        s->col_min[k] = lo < fill ? lo : fill;
-        s->col_sec[k] = sec < fill ? sec : fill;
-    }
-    by_cols = side_bound(s->col_min, s->col_sec, s->col_arg, q.n, q.m, s->best,
-                         &alone);
-    *total = by_rows > by_cols ? by_rows : by_cols;
+        return total_of(s->row_min, q.m, q.n, g->fill, total);
+    *total = by_rows + (double)(q.n - q.m) * g->fill;
     return 0;
 }
 
@@ -676,8 +659,8 @@ int ppm_dbar2(const double *xs, const intptr_t *xoff, const double *ys,
             status = pair_solve(q, &g, &inner, &dist[k]);
         } else if (!(status = pair_bound(q, &g, &scan, &total, &exact))) {
             dist[k] = pair_value(total, &g, q.n);
-            /* a bound summed naively over at most 2(m + n) + 1 terms rounds
-             * by less than this margin, pow and the division included */
+            /* a bound summed naively over at most 2m + 1 terms rounds by
+             * less than this margin, pow and the division included */
             if (!exact)
                 dist[k] *= 1.0 - (double)(2 * (q.m + q.n) + 8) * DBL_EPSILON;
         }

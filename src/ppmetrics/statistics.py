@@ -13,6 +13,7 @@ import math
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from functools import partial
 
@@ -316,14 +317,20 @@ def homogeneity_test(data, lam=None, params=MetricParams(), n_null=99,
 
 
 def worker_count():
-    """Parallel worker cap from PPMETRICS_THREADS (0 or unset = all cores)."""
+    """Parallel worker cap from PPMETRICS_THREADS (0 or unset = all usable
+    cores: those of the process's CPU affinity mask where the platform has
+    one, else all cores)."""
     raw = os.environ.get("PPMETRICS_THREADS", "0")
     try:
         n = int(raw)
     except ValueError:
         raise ValueError(f"PPMETRICS_THREADS must be an integer, got {raw!r}")
     n = check_count("PPMETRICS_THREADS", n)
-    return n if n > 0 else (os.cpu_count() or 1)
+    if n > 0:
+        return n
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _power_replicate(rep, kappa, n_patterns, lam, params, n_null, alpha,
@@ -371,7 +378,8 @@ def power_study(kappa, n_patterns=12, lam=30.0, cutoff=1.0, reps=100,
     power, is that of the full test. A warning is issued once per call
     when ``alpha * (n_null + 1)`` is not an integer. Replicates use
     disjoint substreams and are evaluated in parallel processes (limited
-    by PPMETRICS_THREADS) unless ``parallel=False``.
+    by PPMETRICS_THREADS) unless ``parallel=False``; a worker process that
+    dies, most likely out of memory, raises ``MemoryError``.
     """
     reps = check_count("reps", reps, at_least=1)
     kappa = check_real("kappa", kappa, above=0)
@@ -386,9 +394,16 @@ def power_study(kappa, n_patterns=12, lam=30.0, cutoff=1.0, reps=100,
     _warn_cutoff(cutoff)
     workers = min(worker_count(), reps) if parallel else 1
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rejects = list(pool.map(job, range(reps), chunksize=max(
-                1, reps // (4 * workers))))
+        try:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                rejects = list(pool.map(job, range(reps), chunksize=max(
+                    1, reps // (4 * workers))))
+        except BrokenProcessPool as exc:
+            # the system kills a worker that asks for more memory than it
+            # has, and the pool reports only that the worker died
+            raise MemoryError(
+                f"a process of the worker pool ({workers} workers) died, most "
+                "likely because it ran out of memory") from exc
     else:
         rejects = [job(rep) for rep in range(reps)]
     power = sum(rejects) / reps

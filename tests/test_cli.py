@@ -2,11 +2,13 @@ import json
 import os
 import subprocess
 import sys
+from concurrent.futures.process import BrokenProcessPool
 
 import jsonschema
 import numpy as np
 import pytest
 
+from ppmetrics import statistics
 from ppmetrics.cli import main, parse_count_distribution
 from ppmetrics.fileio import write_patterns
 
@@ -390,6 +392,30 @@ def test_allocation_failure_exits_4(capsys, monkeypatch):
     monkeypatch.setattr("ppmetrics.cli.sample_bernoulli_process", no_memory)
     assert main(["simulate", "--model", "bernoulli", "--n", "100"]) == 4
     assert capsys.readouterr().err == "error: Unable to allocate 745. GiB\n"
+
+
+def test_a_dead_pool_worker_exits_4_naming_the_pool(capsys, monkeypatch):
+    class DeadPool:  # a pool whose worker was killed, as when memory runs out
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, *args, **kwargs):
+            raise BrokenProcessPool("A process in the process pool was terminated abruptly")
+
+    monkeypatch.setenv("PPMETRICS_THREADS", "2")
+    monkeypatch.setattr(statistics, "ProcessPoolExecutor", DeadPool)
+    code = main(["power", "--kappa", "1", "--reps", "2", "--n-patterns", "2",
+                 "--null", "19"])
+    out, err = capsys.readouterr()
+    assert code == 4 and out == "" and "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "worker pool" in err and "out of memory" in err
 
 
 def test_oversized_count_support_exits_4(capsys):

@@ -24,6 +24,8 @@ from ppmetrics.assignment import min_cost_matching
 from ppmetrics.geometry import GroundMetricSpec
 from ppmetrics.metrics import MetricParams, _dbar2, _distance_matrix, _pair_matching, \
     _Stack, matching_details, pattern_distance_matrix
+from ppmetrics.processes import RngStream, sample_collection, sample_poisson_fkappa, \
+    sample_poisson_homogeneous
 
 from oracles import brute_force_matching, lsa_matching, lsa_pair_distance
 
@@ -206,6 +208,39 @@ def test_dbar2_solves_under_half_the_pairs_of_paper_scale_collections():
         value, solved = _kernel.dbar2(xs, ys, 1.0, 0.3, math.inf, False)
         assert value == _full_dbar2(xs, ys, MetricParams(1.0, 0.3), None, "dbar1")
         assert solved < 144 / 2
+
+
+@pytest.mark.parametrize("metric", ["dbar1", "d1"])
+@pytest.mark.parametrize("order", [1.0, 2.0])
+@pytest.mark.parametrize("cutoff", [0.05, 0.3, 1.0])
+def test_dbar2_of_tilted_against_uniform_collections_is_exact_and_settles_by_bounds(
+        cutoff, order, metric):
+    # kappa = 4 crowds the points of one side to x near 0, so many points
+    # of the other side share a cheapest partner: a pair's bound by its
+    # smaller pattern's points alone is at its loosest here
+    params, d1, settled = MetricParams(order, cutoff), metric == "d1", 0
+    for seed in range(3):
+        rng = RngStream(seed)
+        tilted = _Stack(sample_collection(
+            12, lambda r: sample_poisson_fkappa(30.0, 4.0, rng=r), rng.substream(0)))
+        uniform = _Stack(sample_collection(
+            12, lambda r: sample_poisson_homogeneous(30.0, rng=r), rng.substream(1)))
+        for xs, ys in ((tilted, uniform), (uniform, tilted)):
+            exact, solved = _kernel.dbar2(xs, ys, order, cutoff, math.inf, d1)
+            assert exact == _full_dbar2(xs, ys, params, None, metric)
+            assert 0 <= solved <= 144
+            for threshold in (0.9 * exact, 1.1 * exact):
+                r, solved = _kernel.dbar2(xs, ys, order, cutoff, math.inf, d1,
+                                          threshold, threshold)
+                assert 0 <= solved <= 144
+                if r > threshold:
+                    assert exact >= r
+                elif r < threshold:
+                    assert exact <= r
+                else:
+                    assert r == exact
+                settled += r != exact
+    assert settled > 0
 
 
 def test_dbar2_refuses_collections_of_different_sizes():

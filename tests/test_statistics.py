@@ -19,6 +19,7 @@ from ppmetrics.statistics import (
     lipschitz_ratio,
     power_study,
     ustat,
+    worker_count,
 )
 
 from oracles import random_pattern
@@ -276,6 +277,24 @@ def test_power_study_refuses_unknown_metric_before_the_pool(monkeypatch):
     monkeypatch.setattr(statistics, "ProcessPoolExecutor", no_pool)
     with pytest.raises(ValueError, match="unknown pattern metric"):
         power_study(1.0, metric="d2", reps=4)
+
+
+def test_worker_count_defaults_to_the_cpu_affinity_mask(monkeypatch):
+    monkeypatch.setattr(statistics.os, "sched_getaffinity", lambda pid: {3}, raising=False)
+    monkeypatch.setattr(statistics.os, "cpu_count", lambda: 8)
+    monkeypatch.delenv("PPMETRICS_THREADS", raising=False)
+    assert worker_count() == 1
+    monkeypatch.setenv("PPMETRICS_THREADS", "0")
+    assert worker_count() == 1
+    # an explicit cap is kept, even above the usable cores
+    monkeypatch.setenv("PPMETRICS_THREADS", "5")
+    assert worker_count() == 5
+    # a platform without an affinity mask counts every core
+    monkeypatch.delattr(statistics.os, "sched_getaffinity")
+    monkeypatch.setenv("PPMETRICS_THREADS", "0")
+    assert worker_count() == 8
+    monkeypatch.setattr(statistics.os, "cpu_count", lambda: None)
+    assert worker_count() == 1
 
 
 def test_power_study_metric_d1_runs():
