@@ -17,9 +17,10 @@
  * empirical dbar2 of two stacked collections of one size, solving only the
  * pattern pairs that an optimal pairing over lower bounds of the others
  * picks, or stops at a bound on it that clears a threshold, which settles a
- * comparison of dbar2 with a value.  A stack of total points holds them
- * coordinate-major, coordinate k of point j at points[k * total + j]; other
- * arrays are C-contiguous.  Indices are intptr_t (numpy's intp).  Each entry
+ * comparison of dbar2 with a value; its bound scan is the solver's row
+ * reduction, run in the solver's workspace.  A stack of total points holds
+ * them coordinate-major, coordinate k of point j at points[k * total + j];
+ * other arrays are C-contiguous.  Indices are intptr_t (numpy's intp).  Each entry
  * returns 0 or one of the PPM_* codes below.  Build with -ffp-contract=off,
  * so that no multiply-add is fused and the ground costs round as numpy's.
  */
@@ -98,8 +99,9 @@ static double fsum_result(const fsum_t *s)
     return hi;
 }
 
-/* Workspace of one solver; sized once for the largest problem of a call.
- * costs holds the pattern costs of a pair. */
+/* The one workspace of a solver, sized once for the largest problem of a
+ * call; costs holds the pattern costs of a pair.  ppm_dbar2's bound scan
+ * borrows the workspace of its pair solver between solves (pair_bound). */
 typedef struct {
     double *u, *v, *dist, *costs;
     intptr_t *path, *col4row, *row4col, *remaining, *rows_seen, *cols_seen;
@@ -264,11 +266,12 @@ static int solve_total(intptr_t m, intptr_t n, const double *cost, double fill,
     return total_of(w->dist, m, n, fill, total);
 }
 
-/* The pattern metric of a call: dimension, order p, cutoff c, the cap of
- * the ground distance, fill = c ** p and the d1 rule. */
+/* The pattern metric of a call: dimension, order p, the one cap
+ * min(c, cap) of the ground distance for cutoff c and spec cap, fill = c ** p
+ * and the d1 rule. */
 typedef struct {
     intptr_t dim;
-    double p, c, cap, fill;
+    double p, cap, fill;
     int d1;
 } metric_t;
 
@@ -277,21 +280,18 @@ static metric_t metric_of(intptr_t dim, double p, double c, double cap, int d1)
     metric_t g;
     g.dim = dim;
     g.p = p;
-    g.c = c;
-    g.cap = cap;
+    g.cap = c < cap ? c : cap;
     g.fill = pow(c, p);
     g.d1 = d1;
     return g;
 }
 
-/* Cost min(sqrt(s), cap, c) ** p of two points at squared distance s. */
+/* Cost min(sqrt(s), cap) ** p of two points at squared distance s. */
 static inline double capped_cost(double s, const metric_t *g)
 {
     double d = sqrt(s);
     if (d > g->cap)
         d = g->cap;
-    if (d > g->c)
-        d = g->c;
     /* numpy squares for p = 2; libm's pow can round otherwise */
     if (g->p == 2.0)
         return d * d;
@@ -359,7 +359,7 @@ static int pair_solve(pair_t q, const metric_t *g, work_t *w, double *value)
     double total;
     int status;
     if (g->d1 && q.m != q.n) {
-        *value = g->c < g->cap ? g->c : g->cap;
+        *value = g->cap;
         return 0;
     }
     for (i = 0; i < q.m; i++) {
@@ -440,31 +440,6 @@ int ppm_pairs(const double *xs, const intptr_t *xoff, const double *ys,
     return status;
 }
 
-/* Scratch of the bound scan of one pair, sized for the largest pattern:
- * one line of squared distances, per point of the smaller pattern the
- * cheapest and second cheapest cost to the larger and the first point at
- * the cheapest, and the group leaders of side_bound. */
-typedef struct {
-    double *line, *at, *row_min, *row_sec;
-    intptr_t *row_arg, *best;
-    void *block;
-} scan_t;
-
-static int scan_alloc(scan_t *s, intptr_t most)
-{
-    size_t k = (size_t)most;
-    s->block = malloc(4 * k * sizeof(double) + 2 * k * sizeof(intptr_t) + 1);
-    if (s->block == NULL)
-        return PPM_NO_MEMORY;
-    s->line = (double *)s->block;
-    s->at = s->line + k;
-    s->row_min = s->at + k;
-    s->row_sec = s->row_min + k;
-    s->row_arg = (intptr_t *)(s->row_sec + k);
-    s->best = s->row_arg + k;
-    return 0;
-}
-
 /* For each point j of b (n points, stride sb), over the m points i of a
  * (stride sa): the least squared distance lo[j], the second least sec[j]
  * and the first point at the least, arg[j].  The loops over j carry no
@@ -542,23 +517,30 @@ static double side_bound(const double *lo, double *sec, const intptr_t *arg,
  * no tie for it, solve's row reduction is already optimal, and the total is
  * summed as solve_total would.  The scan orders squared distances and caps
  * only the cheapest and second cheapest: capped_cost never decreases, so it
- * maps them to the cheapest and second cheapest costs. */
-static int pair_bound(pair_t q, const metric_t *g, scan_t *s, double *total,
+ * maps them to the cheapest and second cheapest costs.
+ *
+ * The scan is that row reduction, and runs in the solver's own arrays: the
+ * distance line in dist, the rows' cheapest points as doubles in v, their
+ * cheapest costs in u, second cheapest in costs and cheapest columns in
+ * col4row, and side_bound's group leaders in row4col.  w is sized for the
+ * largest pair of the call, and costs holds at least m entries whenever
+ * m >= 1, since m <= min(most_x, most_y).  solve initializes every array it
+ * reads, so a solve after a scan sees nothing of it. */
+static int pair_bound(pair_t q, const metric_t *g, work_t *w, double *total,
                       int *exact)
 {
     double by_rows;
     intptr_t k;
-    nearest(q.b, q.sb, q.n, q.a, q.sa, q.m, g->dim, s->line, s->at, s->row_min,
-            s->row_sec, s->row_arg);
+    nearest(q.b, q.sb, q.n, q.a, q.sa, q.m, g->dim, w->dist, w->v, w->u, w->costs,
+            w->col4row);
     for (k = 0; k < q.m; k++) {
-        s->row_min[k] = capped_cost(s->row_min[k], g);
+        w->u[k] = capped_cost(w->u[k], g);
         /* a lone column is no tie */
-        s->row_sec[k] = q.n > 1 ? capped_cost(s->row_sec[k], g) : INFINITY;
+        w->costs[k] = q.n > 1 ? capped_cost(w->costs[k], g) : INFINITY;
     }
-    by_rows = side_bound(s->row_min, s->row_sec, s->row_arg, q.m, q.n, s->best,
-                         exact);
+    by_rows = side_bound(w->u, w->costs, w->col4row, q.m, q.n, w->row4col, exact);
     if (*exact)
-        return total_of(s->row_min, q.m, q.n, g->fill, total);
+        return total_of(w->u, q.m, q.n, g->fill, total);
     *total = by_rows + (double)(q.n - q.m) * g->fill;
     return 0;
 }
@@ -617,7 +599,6 @@ int ppm_dbar2(const double *xs, const intptr_t *xoff, const double *ys,
     enum { BOUND, EXACT, PICKED }; /* the states of an entry */
     metric_t g = metric_of(dim, p, c, cap, d1);
     work_t inner, outer;
-    scan_t scan;
     double *dist = NULL, total = 0.0, upper;
     intptr_t *order;
     unsigned char *state = NULL;
@@ -626,10 +607,10 @@ int ppm_dbar2(const double *xs, const intptr_t *xoff, const double *ys,
     intptr_t most = most_x > most_y ? most_x : most_y;
     int status = PPM_NO_MEMORY, pending = 1, compare = below > -INFINITY;
     *solved = 0;
-    inner.block = outer.block = scan.block = NULL;
+    inner.block = outer.block = NULL;
     dist = malloc((size_t)cells * sizeof(double) + 2 * (size_t)size * sizeof(intptr_t) + 1);
     state = calloc((size_t)cells + 1, 1); /* every entry at BOUND */
-    if (dist == NULL || state == NULL || scan_alloc(&scan, most) ||
+    if (dist == NULL || state == NULL ||
         work_alloc(&inner, most, most, most_x * most_y) ||
         work_alloc(&outer, size, size, 0))
         goto done;
@@ -657,7 +638,7 @@ int ppm_dbar2(const double *xs, const intptr_t *xoff, const double *ys,
             continue;
         if (exact) { /* valued without a solve */
             status = pair_solve(q, &g, &inner, &dist[k]);
-        } else if (!(status = pair_bound(q, &g, &scan, &total, &exact))) {
+        } else if (!(status = pair_bound(q, &g, &inner, &total, &exact))) {
             dist[k] = pair_value(total, &g, q.n);
             /* a bound summed naively over at most 2m + 1 terms rounds by
              * less than this margin, pow and the division included */
@@ -701,7 +682,6 @@ int ppm_dbar2(const double *xs, const intptr_t *xoff, const double *ys,
 done:
     free(dist);
     free(state);
-    free(scan.block);
     free(inner.block);
     free(outer.block);
     return status;

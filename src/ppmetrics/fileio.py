@@ -85,12 +85,19 @@ def parse_patterns(text):
 
 
 def read_patterns(path):
-    """Read all patterns from a text file."""
+    """Read all patterns from a UTF-8 text file."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise PatternFileError(f"cannot read {path}: {exc}")
+    # decoded whole, so that the error's offset counts from the file's start
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise PatternFileError(
+            f"{path} is not UTF-8 text: {exc.reason}, 0x{data[exc.start]:02x} "
+            f"at byte {exc.start}", data.count(b"\n", 0, exc.start) + 1) from None
     return parse_patterns(text)
 
 

@@ -423,3 +423,19 @@ def test_oversized_count_support_exits_4(capsys):
                  "--nu", "delta:1"])
     assert code == 4
     assert "exceeds the limit of 1000000" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["dist", "test", "test --dir"])
+def test_a_pattern_file_that_is_not_utf8_exits_3_naming_file_and_line(tmp_path, command):
+    folder = tmp_path / "data"
+    folder.mkdir()
+    bad = folder / "bin.txt"
+    bad.write_bytes(b"\xff\xfe0.1 0.2\n")
+    (tmp_path / "ok.txt").write_text("0.1 0.2\n")
+    args = {"dist": [str(bad), str(tmp_path / "ok.txt")], "test": [str(bad)],
+            "test --dir": [str(folder), "--dir"]}[command]
+    proc = subprocess.run([sys.executable, "-m", "ppmetrics.cli", command.split()[0], *args],
+                          capture_output=True, text=True, env=CHILD_ENV)
+    assert proc.returncode == 3 and proc.stdout == "" and "Traceback" not in proc.stderr
+    assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error: ")
+    assert "line 1" in proc.stderr and str(bad) in proc.stderr

@@ -104,3 +104,11 @@ def test_dumps_result_lossless_floats():
 def test_dumps_result_rejects_nonfinite():
     with pytest.raises(ValueError):
         dumps_result({"value": float("nan")})
+
+
+def test_a_byte_that_is_not_utf8_is_reported_at_its_line(tmp_path):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes("0.1 0.2\n\n0.3 0.4\n# café\n0.5 0.6\n".encode("latin-1"))
+    with pytest.raises(PatternFileError, match=r"line 4: .*latin1\.txt is not UTF-8") as info:
+        read_patterns(path)
+    assert info.value.line == 4
